@@ -4,7 +4,10 @@ A letter over a product alphabet picks one symbol per agent channel and is
 represented as a tuple of symbol indices, one per channel.  Restricted
 letters (projections onto a channel mask) use the same tuple representation
 over the mask's channels in ascending agent order.  The global alphabet is
-the cartesian product of the channels and is only ever iterated lazily.
+the cartesian product of the channels.  `ProductAlphabet.letters` generates
+it lazily in lexicographic order; the product construction and the oracle
+materialise that sequence once per query and index letters by position in
+it.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class ChannelMask:
 
 def project(letter: Letter, mask: ChannelMask) -> Letter:
     """Restrict a letter to the mask's channels, in ascending agent order."""
-    return tuple(letter[i] for i in mask.agents)
+    return tuple([letter[i] for i in mask.agents])
 
 
 @dataclass(frozen=True)

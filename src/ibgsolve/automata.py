@@ -90,15 +90,14 @@ def formula_atoms(f: BoolFormula) -> frozenset[int]:
 
 
 def formula_eval(f: BoolFormula, true_states: frozenset[int] | set[int]) -> bool:
-    if isinstance(f, FTrue):
-        return True
-    if isinstance(f, FFalse):
-        return False
-    if isinstance(f, FAtom):
+    t = type(f)
+    if t is FAtom:
         return f.state in true_states
-    if isinstance(f, FAnd):
+    if t is FAnd:
         return all(formula_eval(a, true_states) for a in f.args)
-    return any(formula_eval(a, true_states) for a in f.args)
+    if t is FOr:
+        return any(formula_eval(a, true_states) for a in f.args)
+    return t is FTrue
 
 
 def minimal_models(formulas: Sequence[BoolFormula]) -> list[frozenset[int]]:

@@ -2,9 +2,10 @@
 
 Exit codes: 0 for a positive verdict (realizable, equilibrium, witness
 found, successful conversion), 1 for a negative verdict, 2 for malformed
-input or oracle overflow.  Every command prints a one-line verdict followed
-by a JSON result record; records are byte-identical across runs except for
-the wall_time_s field.
+input or oracle overflow, 3 for an internal error (any other exception), so
+that a crash never reads as a verdict.  Every command prints a one-line
+verdict followed by a JSON result record; records are byte-identical across
+runs except for the wall_time_s field.
 """
 
 from __future__ import annotations
@@ -289,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     except (formats.FormatError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

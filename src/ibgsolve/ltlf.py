@@ -311,60 +311,63 @@ def _nnf_neg(f: LtlfFormula) -> LtlfFormula:
 def holds(f: LtlfFormula, word: Sequence[Letter], alphabet: ProductAlphabet) -> bool:
     n = len(word)
 
+    # Dispatch on the exact node class: this is the test oracle's inner
+    # loop, and a chain of `type(g) is` tests is much cheaper than a
+    # structural match here.
     def sat(g: LtlfFormula, i: int) -> bool:
         if i == n:
             return _empty_word_sat(g)
-        match g:
-            case LTrue():
-                return True
-            case LFalse():
-                return False
-            case Atom(agent, symbol):
-                return alphabet.channels[agent][word[i][agent]] == symbol
-            case Not(h):
-                return neg(h, i)
-            case And(args):
-                return all(sat(a, i) for a in args)
-            case Or(args):
-                return any(sat(a, i) for a in args)
-            case Next(h) | WeakNext(h):
-                return sat(h, i + 1)
-            case Until(l, r):
-                return sat(r, i) or (sat(l, i) and sat(g, i + 1))
-            case Release(l, r):
-                return sat(r, i) and (sat(l, i) or sat(g, i + 1))
-            case Eventually(h):
-                return sat(h, i) or sat(g, i + 1)
-            case Always(h):
-                return sat(h, i) and sat(g, i + 1)
+        t = type(g)
+        if t is Atom:
+            return alphabet.channels[g.agent][word[i][g.agent]] == g.symbol
+        if t is And:
+            return all(sat(a, i) for a in g.args)
+        if t is Or:
+            return any(sat(a, i) for a in g.args)
+        if t is Not:
+            return neg(g.arg, i)
+        if t is Next or t is WeakNext:
+            return sat(g.arg, i + 1)
+        if t is Eventually:
+            return sat(g.arg, i) or sat(g, i + 1)
+        if t is Always:
+            return sat(g.arg, i) and sat(g, i + 1)
+        if t is Until:
+            return sat(g.right, i) or (sat(g.left, i) and sat(g, i + 1))
+        if t is Release:
+            return sat(g.right, i) and (sat(g.left, i) or sat(g, i + 1))
+        if t is LTrue:
+            return True
+        if t is LFalse:
+            return False
         raise TypeError(f"not a formula: {g!r}")
 
     def neg(g: LtlfFormula, i: int) -> bool:
         if i == n:
             return _empty_word_neg(g)
-        match g:
-            case LTrue():
-                return False
-            case LFalse():
-                return True
-            case Atom(agent, symbol):
-                return alphabet.channels[agent][word[i][agent]] != symbol
-            case Not(h):
-                return sat(h, i)
-            case And(args):
-                return any(neg(a, i) for a in args)
-            case Or(args):
-                return all(neg(a, i) for a in args)
-            case Next(h) | WeakNext(h):
-                return neg(h, i + 1)
-            case Until(l, r):
-                return neg(r, i) and (neg(l, i) or neg(g, i + 1))
-            case Release(l, r):
-                return neg(r, i) or (neg(l, i) and neg(g, i + 1))
-            case Eventually(h):
-                return neg(h, i) and neg(g, i + 1)
-            case Always(h):
-                return neg(h, i) or neg(g, i + 1)
+        t = type(g)
+        if t is Atom:
+            return alphabet.channels[g.agent][word[i][g.agent]] != g.symbol
+        if t is And:
+            return any(neg(a, i) for a in g.args)
+        if t is Or:
+            return all(neg(a, i) for a in g.args)
+        if t is Not:
+            return sat(g.arg, i)
+        if t is Next or t is WeakNext:
+            return neg(g.arg, i + 1)
+        if t is Eventually:
+            return neg(g.arg, i) and neg(g, i + 1)
+        if t is Always:
+            return neg(g.arg, i) or neg(g, i + 1)
+        if t is Until:
+            return neg(g.right, i) and (neg(g.left, i) or neg(g, i + 1))
+        if t is Release:
+            return neg(g.right, i) or (neg(g.left, i) and neg(g, i + 1))
+        if t is LTrue:
+            return False
+        if t is LFalse:
+            return True
         raise TypeError(f"not a formula: {g!r}")
 
     return sat(f, 0)
@@ -396,26 +399,22 @@ def _empty_word_neg(f: LtlfFormula) -> bool:
 
 
 def _subformulas(f: LtlfFormula, acc: list[LtlfFormula]) -> None:
-    if f in acc:
-        return
-    acc.append(f)
-    match f:
-        case Not(g) | Next(g) | WeakNext(g) | Eventually(g) | Always(g):
-            _subformulas(g, acc)
-        case And(args) | Or(args):
-            for a in args:
-                _subformulas(a, acc)
-        case Until(l, r) | Release(l, r):
-            _subformulas(l, acc)
-            _subformulas(r, acc)
-        case _:
-            pass
-
-
-def referenced_channels(f: LtlfFormula) -> set[int]:
-    acc: list[LtlfFormula] = []
-    _subformulas(f, acc)
-    return {g.agent for g in acc if isinstance(g, Atom)}
+    """Append each distinct subformula of f not yet in acc, in preorder."""
+    seen = set(acc)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        acc.append(g)
+        t = type(g)
+        if t is And or t is Or:
+            stack.extend(reversed(g.args))
+        elif t is Until or t is Release:
+            stack += [g.right, g.left]
+        elif t is not Atom and t is not LTrue and t is not LFalse:
+            stack.append(g.arg)
 
 
 def compile_to_afa(formula: LtlfFormula, alphabet: ProductAlphabet) -> Afa:
@@ -430,16 +429,18 @@ def compile_to_afa(formula: LtlfFormula, alphabet: ProductAlphabet) -> Afa:
     mentions.
     """
     f = nnf(formula)
-    for agent in sorted(referenced_channels(f)):
-        if agent >= alphabet.k:
-            raise ValueError(f"formula references channel p{agent}, alphabet has {alphabet.k}")
     all_subs: list[LtlfFormula] = []
     _subformulas(f, all_subs)
-    for g in all_subs:
-        if isinstance(g, Atom) and g.symbol not in alphabet.channels[g.agent]:
+    atoms = [g for g in all_subs if type(g) is Atom]
+    channels = {g.agent for g in atoms}
+    for agent in sorted(channels):
+        if agent >= alphabet.k:
+            raise ValueError(f"formula references channel p{agent}, alphabet has {alphabet.k}")
+    for g in atoms:
+        if g.symbol not in alphabet.channels[g.agent]:
             raise ValueError(f"formula references unknown symbol {g.symbol!r} on channel {g.agent}")
 
-    mask = ChannelMask.of(referenced_channels(f))
+    mask = ChannelMask.of(channels)
     channel_pos = {agent: i for i, agent in enumerate(mask.agents)}
     rls = list(alphabet.restricted_letters(mask))
 
@@ -447,33 +448,34 @@ def compile_to_afa(formula: LtlfFormula, alphabet: ProductAlphabet) -> Afa:
     index: dict[LtlfFormula, int] = {}
 
     def intern(g: LtlfFormula) -> int:
-        if g not in index:
-            index[g] = len(states)
+        q = index.get(g)
+        if q is None:
+            q = index[g] = len(states)
             states.append(g)
-        return index[g]
+        return q
 
     def delta_of(g: LtlfFormula, rl: Letter) -> BoolFormula:
-        match g:
-            case LTrue():
-                return FTrue()
-            case LFalse():
-                return FFalse()
-            case Atom(agent, symbol):
-                picked = alphabet.channels[agent][rl[channel_pos[agent]]]
-                return FTrue() if picked == symbol else FFalse()
-            case Not(Atom(agent, symbol)):
-                picked = alphabet.channels[agent][rl[channel_pos[agent]]]
-                return FFalse() if picked == symbol else FTrue()
-            case And(args):
-                return f_and(delta_of(a, rl) for a in args)
-            case Or(args):
-                return f_or(delta_of(a, rl) for a in args)
-            case Next(h) | WeakNext(h):
-                return FAtom(intern(h))
-            case Until(l, r):
-                return f_or([delta_of(r, rl), f_and([delta_of(l, rl), FAtom(intern(g))])])
-            case Release(l, r):
-                return f_and([delta_of(r, rl), f_or([delta_of(l, rl), FAtom(intern(g))])])
+        t = type(g)
+        if t is Atom:
+            picked = alphabet.channels[g.agent][rl[channel_pos[g.agent]]]
+            return FTrue() if picked == g.symbol else FFalse()
+        if t is And:
+            return f_and(delta_of(a, rl) for a in g.args)
+        if t is Or:
+            return f_or(delta_of(a, rl) for a in g.args)
+        if t is Next or t is WeakNext:
+            return FAtom(intern(g.arg))
+        if t is Until:
+            return f_or([delta_of(g.right, rl), f_and([delta_of(g.left, rl), FAtom(intern(g))])])
+        if t is Release:
+            return f_and([delta_of(g.right, rl), f_or([delta_of(g.left, rl), FAtom(intern(g))])])
+        if t is Not and type(g.arg) is Atom:
+            picked = alphabet.channels[g.arg.agent][rl[channel_pos[g.arg.agent]]]
+            return FFalse() if picked == g.arg.symbol else FTrue()
+        if t is LTrue:
+            return FTrue()
+        if t is LFalse:
+            return FFalse()
         raise ValueError(f"formula not in normal form: {format_formula(g)}")
 
     delta: dict[tuple[int, Letter], BoolFormula] = {}

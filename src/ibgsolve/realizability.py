@@ -12,6 +12,7 @@ game's positional strategy after a unilateral deviation by a losing agent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .alphabet import ChannelMask, Letter, ProductAlphabet, UltimatelyPeriodicWord, project
 from .automata import Afa, Dfa, GoalAutomaton, Nfa, afa_to_dfa, determinize
@@ -119,7 +120,9 @@ class ProductBuchi:
     pending; it only shrinks and the empty set is absorbing.  Transitions
     that would let a losing agent's goal accept are undefined.  A refined
     automaton additionally drops transitions that leave some deviation
-    game's coalition winning region.
+    game's coalition winning region.  `trans` is filled source by source in
+    state order, each source's letters lowest first; `buchi_nonempty` relies
+    on that order for its lowest-letter tie-breaking.
     """
 
     alphabet: ProductAlphabet
@@ -162,25 +165,80 @@ def _build_product(
     index: dict[ProductState, int] = {start: 0}
     states: list[ProductState] = [start]
     trans: dict[tuple[int, Letter], int] = {}
+
+    # Letter-indexed tables, built once per goal state the search reaches
+    # instead of once per (product state, letter).  Letter x is the x-th
+    # letter in lexicographic order.  row_of(j, q) is goal j's successor
+    # row: entry x is delta_j(q, letter x restricted to goal j's mask).
+    # allowed_of(j, q), for a loser j, is an int whose bit x is set iff
+    # letter x keeps goal j out of its accepting set and, when refined, the
+    # letter stays in j's deviation-game winning region.  hits_of(i, q), for
+    # a winner i, has bit x set iff letter x takes goal i into its accepting
+    # set.  A product state ANDs its losers' masks and walks the set bits
+    # lowest first, so transitions are inserted in letter order, per source
+    # state in discovery order.
+    letters = list(alphabet.letters())
+    full = (1 << len(letters)) - 1
+    goal_positions: list[list[int]] = []
+    for d in goal_dfas:
+        classes = {rl: n for n, rl in enumerate(alphabet.restricted_letters(d.mask))}
+        goal_positions.append([classes[project(letter, d.mask)] for letter in letters])
+
+    def bits_where(flags) -> int:
+        mask = 0
+        for x, flag in enumerate(flags):
+            if flag:
+                mask |= 1 << x
+        return mask
+
+    @cache
+    def row_of(j: int, q: int) -> tuple[int, ...]:
+        d = goal_dfas[j]
+        by_class = [d.delta[q, rl] for rl in alphabet.restricted_letters(d.mask)]
+        return tuple([by_class[n] for n in goal_positions[j]])
+
+    @cache
+    def allowed_of(j: int, q: int) -> int:
+        accepting = goal_dfas[j].accepting
+        row = row_of(j, q)
+        if not refined:
+            return bits_where(s not in accepting for s in row)
+        dev = deviation_games[j]
+        return bits_where(
+            row[x] not in accepting and dev.v1_in_win0(q, letter)
+            for x, letter in enumerate(letters)
+        )
+
+    @cache
+    def hits_of(i: int, q: int) -> int:
+        accepting = goal_dfas[i].accepting
+        return bits_where(s in accepting for s in row_of(i, q))
+
     i = 0
     while i < len(states):
         qs, pending = states[i]
-        for letter in alphabet.letters():
-            nxt = tuple(d.delta[q, project(letter, d.mask)] for d, q in zip(goal_dfas, qs))
-            if any(nxt[j] in goal_dfas[j].accepting for j in losers):
-                continue
-            if refined and not all(
-                deviation_games[j].v1_in_win0(qs[j], letter) for j in losers
-            ):
-                continue
-            nxt_pending = pending - frozenset(
-                i2 for i2 in pending if nxt[i2] in goal_dfas[i2].accepting
-            )
+        state_rows = [row_of(j, q) for j, q in enumerate(qs)]
+        keep = full
+        for j in losers:
+            keep &= allowed_of(j, qs[j])
+        pending_hits = [(w, hits_of(w, qs[w])) for w in pending]
+        any_hit = 0
+        for _, mask in pending_hits:
+            any_hit |= mask
+        while keep:
+            low = keep & -keep
+            keep ^= low
+            x = low.bit_length() - 1
+            nxt = tuple([r[x] for r in state_rows])
+            nxt_pending = pending
+            if any_hit & low:
+                nxt_pending = pending - frozenset(w for w, mask in pending_hits if mask & low)
             state = (nxt, nxt_pending)
-            if state not in index:
-                index[state] = len(states)
+            target = index.get(state)
+            if target is None:
+                target = index[state] = len(states)
                 states.append(state)
-            trans[i, letter] = index[state]
+            trans[i, letters[x]] = target
         i += 1
     accepting = frozenset(i for i, (_, pending) in enumerate(states) if not pending)
     return ProductBuchi(alphabet, winners, goal_dfas, states, 0, trans, accepting, refined)
@@ -259,11 +317,12 @@ def buchi_nonempty(ab: ProductBuchi) -> UltimatelyPeriodicWord | None:
     if ab.initial is None:
         return None
     n = ab.n_states
-    letters = list(ab.alphabet.letters())
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for (v, _), w in ab.trans.items():
-        succ[v].append(w)
-    succ = [sorted(set(s)) for s in succ]
+    # Out-edges per state in trans insertion order, which _build_product
+    # makes letter order: walking them visits letters lowest first.
+    out: list[list[tuple[Letter, int]]] = [[] for _ in range(n)]
+    for (v, letter), w in ab.trans.items():
+        out[v].append((letter, w))
+    succ = [sorted({w for _, w in edges}) for edges in out]
 
     order = [ab.initial]
     parent: dict[int, tuple[int, Letter]] = {}
@@ -271,9 +330,8 @@ def buchi_nonempty(ab: ProductBuchi) -> UltimatelyPeriodicWord | None:
     i = 0
     while i < len(order):
         v = order[i]
-        for letter in letters:
-            w = ab.trans.get((v, letter))
-            if w is not None and w not in seen:
+        for letter, w in out[v]:
+            if w not in seen:
                 seen.add(w)
                 parent[w] = (v, letter)
                 order.append(w)
@@ -299,10 +357,7 @@ def buchi_nonempty(ab: ProductBuchi) -> UltimatelyPeriodicWord | None:
     while frontier and not reached_back:
         nxt_frontier = []
         for v in frontier:
-            for letter in letters:
-                w = ab.trans.get((v, letter))
-                if w is None:
-                    continue
+            for letter, w in out[v]:
                 if w == target:
                     cycle_parent[target] = (v, letter)
                     reached_back = True

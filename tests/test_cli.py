@@ -57,6 +57,23 @@ def test_realizable_malformed_game_exits_2(capsys, tmp_path):
     assert "junk" in err
 
 
+def test_realizable_internal_error_exits_3(capsys, tmp_path):
+    # A goal nested this deep overflows the recursive formula parser; the
+    # crash must not exit 1, which would read as UNREALIZABLE.
+    formula = "X(" * 1500 + "p0=a" + ")" * 1500
+    game = tmp_path / "deep.json"
+    game.write_text(json.dumps({
+        "version": "ibg-game-1",
+        "agents": [{"name": "p0", "alphabet": ["a", "b"],
+                    "goal": {"kind": "ltlf", "formula": formula}}],
+    }))
+    code, out, err = run_cli(capsys, "realizable", str(game), "--winners", "0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert err.count("\n") == 1
+
+
 def test_realizable_stats_include_goal_sizes(capsys, games_dir):
     code, out, _ = run_cli(
         capsys, "realizable", str(games_dir / "ev.json"), "--winners", "0", "--stats"

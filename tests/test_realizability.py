@@ -16,6 +16,7 @@ from ibgsolve import (
     goal_as_dfa,
     oracle_realizable_onesided,
     oracle_verify,
+    project,
     realizable,
     refine,
     verify,
@@ -23,6 +24,7 @@ from ibgsolve import (
     Ibg,
     OracleConfig,
 )
+from ibgsolve.realizability import _build_product
 
 import corpus
 
@@ -183,6 +185,113 @@ def test_refinement_transitions_subset_of_unrefined():
                 for (src, letter), dst in refined.trans.items()
             }
             assert refined_edges <= unrefined_edges
+
+
+def reference_product(goal_dfas, winners, alphabet, deviation_games):
+    """The product as the definition reads, one letter at a time: states,
+    transitions in insertion order, and accepting states."""
+    losers = [j for j in range(len(goal_dfas)) if j not in winners]
+    refined = deviation_games is not None
+    if any(goal_dfas[j].initial in goal_dfas[j].accepting for j in losers):
+        return [], [], frozenset()
+    if refined and not all(deviation_games[j].v0_in_win0(goal_dfas[j].initial) for j in losers):
+        return [], [], frozenset()
+    pending = frozenset(i for i in winners if goal_dfas[i].initial not in goal_dfas[i].accepting)
+    states = [(tuple(d.initial for d in goal_dfas), pending)]
+    trans = []
+    for v, (qs, pending) in enumerate(states):
+        for letter in alphabet.letters():
+            nxt = tuple(d.delta[q, project(letter, d.mask)] for d, q in zip(goal_dfas, qs))
+            if any(nxt[j] in goal_dfas[j].accepting for j in losers):
+                continue
+            if refined and not all(deviation_games[j].v1_in_win0(qs[j], letter) for j in losers):
+                continue
+            state = (nxt, frozenset(i for i in pending if nxt[i] not in goal_dfas[i].accepting))
+            if state not in states:
+                states.append(state)
+            trans.append(((v, letter), states.index(state)))
+    accepting = frozenset(v for v, (_, pending) in enumerate(states) if not pending)
+    return states, trans, accepting
+
+
+def reference_lasso(n, trans, accepting, alphabet):
+    """First accepting state on a cycle in BFS order, reached by the BFS
+    stem and closed by the shortest cycle, lowest letter first."""
+    if n == 0:
+        return None
+    edges = dict(trans)
+
+    def step(v):
+        return [(letter, edges[v, letter]) for letter in alphabet.letters() if (v, letter) in edges]
+
+    def on_cycle(v):
+        stack, seen = [w for _, w in step(v)], set()
+        while stack:
+            w = stack.pop()
+            if w == v:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.extend(x for _, x in step(w))
+        return False
+
+    parent = {0: None}
+    order = [0]
+    for v in order:
+        for letter, w in step(v):
+            if w not in parent:
+                parent[w] = (v, letter)
+                order.append(w)
+    target = next((v for v in order if v in accepting and on_cycle(v)), None)
+    if target is None:
+        return None
+    stem, v = [], target
+    while parent[v] is not None:
+        v, letter = parent[v]
+        stem.append(letter)
+    back = {}
+    queue = [target]
+    for v in queue:
+        hit = next((letter for letter, w in step(v) if w == target), None)
+        if hit is not None:
+            back[target] = (v, hit)
+            break
+        for letter, w in step(v):
+            if w not in back:
+                back[w] = (v, letter)
+                queue.append(w)
+    loop, v = [], target
+    while True:
+        v, letter = back[v]
+        loop.append(letter)
+        if v == target:
+            break
+    return Lasso(tuple(reversed(stem)), tuple(reversed(loop)))
+
+
+def test_product_matches_letter_at_a_time_reference():
+    rng = random.Random(109)
+    games = [corpus.ev_game(), corpus.mp_game()]
+    games += [corpus.random_game(rng) for _ in range(50)]
+    games += [corpus.random_game(rng, max_k=4, kinds="dfa") for _ in range(10)]
+    for game in games:
+        goal_dfas = tuple(goal_as_dfa(g) for g in game.goals)
+        for winners in all_winner_sets(game):
+            devs = {
+                j: build_deviation_game(game, j, goal_dfas[j])
+                for j in game.agents
+                if j not in winners
+            }
+            for deviation_games in (None, devs):
+                ab = _build_product(goal_dfas, winners, game.alphabet, deviation_games)
+                states, trans, accepting = reference_product(
+                    goal_dfas, winners, game.alphabet, deviation_games
+                )
+                assert ab.states == states
+                assert list(ab.trans.items()) == trans
+                assert ab.accepting == accepting
+                expected = reference_lasso(len(states), trans, accepting, game.alphabet)
+                assert buchi_nonempty(ab) == expected
 
 
 # ---------------------------------------------------------------------------
