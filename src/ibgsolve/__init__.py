@@ -62,10 +62,8 @@ from .realizability import (
 )
 from .safety import Arena, SafetyInstance, SafetyResult, solve_safety
 from .verification import (
-    ProfileDeviationGame,
     VerificationReport,
     Violation,
-    build_profile_deviation_game,
     i_query,
     j_query,
     query_goal,

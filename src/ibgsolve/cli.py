@@ -81,7 +81,7 @@ def _cmd_realizable(args: argparse.Namespace) -> int:
         record["witness"] = formats.save_profile(verdict.witness)
         if args.witness:
             with open(args.witness, "w") as fh:
-                fh.write(formats.dump_json(formats.save_profile(verdict.witness)))
+                fh.write(formats.dump_json(record["witness"]))
     if args.stats:
         record["stats"] = {
             "goal_dfa_states": list(verdict.stats.goal_dfa_states),
@@ -160,9 +160,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     else:
         try:
             formula = ltlf.parse(args.ltlf2afa, alphabet)
+            result = ltlf.compile_to_afa(formula, alphabet)
         except ltlf.LtlfSyntaxError as e:
             raise formats.FormatError(f"formula: {e}")
-        result = ltlf.compile_to_afa(formula, alphabet)
+        except RecursionError:
+            raise formats.FormatError("formula: nested too deeply") from None
         operation = "ltlf2afa"
     with open(args.output, "w") as fh:
         fh.write(formats.dump_json(formats.save_automaton_file(result)))

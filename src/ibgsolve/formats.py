@@ -131,9 +131,11 @@ def load_goal(obj: Any, path: str, alphabet: ProductAlphabet) -> GoalAutomaton:
         text = _string(obj["formula"], f"{path}.formula")
         try:
             formula = ltlf.parse(text, alphabet)
+            return ltlf.compile_to_afa(formula, alphabet)
         except ltlf.LtlfSyntaxError as e:
             raise FormatError(f"{path}.formula: {e}") from None
-        return ltlf.compile_to_afa(formula, alphabet)
+        except RecursionError:
+            raise FormatError(f"{path}.formula: nested too deeply") from None
     if kind not in ("dfa", "nfa", "afa"):
         raise FormatError(f"{path}.kind: expected dfa, nfa, afa, or ltlf, got {kind!r}")
     _require_keys(

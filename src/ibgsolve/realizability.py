@@ -118,11 +118,12 @@ class ProductBuchi:
 
     The second state component is the set of winners whose goals are still
     pending; it only shrinks and the empty set is absorbing.  Transitions
-    that would let a losing agent's goal accept are undefined.  A refined
-    automaton additionally drops transitions that leave some deviation
-    game's coalition winning region.  `trans` is filled source by source in
-    state order, each source's letters lowest first; `buchi_nonempty` relies
-    on that order for its lowest-letter tie-breaking.
+    that would let a losing agent's goal accept are undefined.  When built
+    with deviation games (`refine`), transitions that leave some deviation
+    game's coalition winning region are dropped as well.  `trans` is filled
+    source by source in state order, each source's letters lowest first;
+    `buchi_nonempty` relies on that order for its lowest-letter
+    tie-breaking.
     """
 
     alphabet: ProductAlphabet
@@ -132,7 +133,6 @@ class ProductBuchi:
     initial: int | None
     trans: dict[tuple[int, Letter], int]
     accepting: frozenset[int]
-    refined: bool
 
     @property
     def n_states(self) -> int:
@@ -150,7 +150,7 @@ def _build_product(
     losers = [j for j in range(k) if j not in winners]
     # A goal accepting the empty prefix is satisfied on every trace: winners
     # start already satisfied, a losing agent makes the instance empty.
-    empty = ProductBuchi(alphabet, winners, goal_dfas, [], None, {}, frozenset(), refined)
+    empty = ProductBuchi(alphabet, winners, goal_dfas, [], None, {}, frozenset())
     for j in losers:
         if goal_dfas[j].initial in goal_dfas[j].accepting:
             return empty
@@ -241,7 +241,7 @@ def _build_product(
             trans[i, letters[x]] = target
         i += 1
     accepting = frozenset(i for i, (_, pending) in enumerate(states) if not pending)
-    return ProductBuchi(alphabet, winners, goal_dfas, states, 0, trans, accepting, refined)
+    return ProductBuchi(alphabet, winners, goal_dfas, states, 0, trans, accepting)
 
 
 def build_product_buchi(game: Ibg, winners: frozenset[int], goal_dfas: tuple[Dfa, ...]) -> ProductBuchi:

@@ -1,15 +1,15 @@
 """Check whether a given strategy profile is an equilibrium for a winning set.
 
 The profile's machines are multiplied into one global transducer; each
-agent's goal is then checked separately against it.  Winners need their
-goal to accept on the primary trace (a reachability query on the goal/
-transducer product, which has no input alphabet because every edge consumes
-the profile's own output).  Losing agents need the opposite: the product
-must never reach the deviator's winning region of the profile-constrained
-deviation game, otherwise the agent either already wins on the primary
-trace or can escape unilaterally.
+agent's goal is then checked separately against it by a forward search over
+(goal state, profile state) pairs.  Winners need their goal to accept on the
+primary trace, where every step consumes the profile's own output.  Losing
+agents need the opposite, and more: no path on which the other agents follow
+their machines and the loser emits whatever it likes may reach acceptance.
+With the profile fixed the coalition has no choices left, so this is plain
+reachability for the deviator and no game is solved.
 
-Goal kinds: DFAs and NFAs are used directly (the product is relational for
+Goal kinds: DFAs and NFAs are used directly (the search is relational for
 NFAs); AFAs are converted to NFAs only, never determinized, which avoids a
 second exponential blowup.
 """
@@ -23,7 +23,6 @@ from typing import Union
 from .alphabet import Letter, project
 from .automata import Afa, Dfa, GoalAutomaton, Nfa, afa_to_nfa
 from .game import GlobalMoore, Ibg, StrategyProfile, product_profile
-from .safety import Arena, SafetyInstance, SafetyResult, solve_safety
 
 QueryGoal = Union[Dfa, Nfa]
 
@@ -35,111 +34,69 @@ def _goal_successors(goal: QueryGoal, q: int, letter: Letter) -> tuple[int, ...]
     return goal.successors.get((q, rl), ())
 
 
+@dataclass(frozen=True)
+class Search:
+    """Outcome of one forward search: the letters leading to the first
+    accepting pair found (None if there is none) and the work done, counted
+    as pairs reached plus pairs expanded."""
+
+    path: tuple[Letter, ...] | None
+    size: int
+
+
+def _search(goal: QueryGoal, g: GlobalMoore, deviator: int | None = None) -> Search:
+    """Breadth-first search over (goal state, profile state) pairs from the
+    initial pair.  Every agent emits what its machine commits, except the
+    deviator, if given, which may emit any of its symbols, lowest first.
+    Accepting pairs end their branch.  The search runs to exhaustion so that
+    `size` does not depend on where acceptance lies; the returned path is
+    the one to the first accepting pair found, whose predecessors are each
+    found first and through the lowest letter."""
+    start = (goal.initial, g.initial)
+    parent: dict[tuple[int, int], tuple[tuple[int, int], Letter] | None] = {start: None}
+    queue: deque[tuple[int, int]] = deque([start])
+    expanded = 0
+    found: tuple[int, int] | None = None
+    own_symbols = range(len(g.alphabet.channels[deviator])) if deviator is not None else ()
+    while queue:
+        q, s = v = queue.popleft()
+        if q in goal.accepting:
+            if found is None:
+                found = v
+            continue
+        expanded += 1
+        committed = g.gamma[s]
+        if deviator is None:
+            letters = (committed,)
+        else:
+            letters = [committed[:deviator] + (c,) + committed[deviator + 1:] for c in own_symbols]
+        for letter in letters:
+            s2 = g.trans[s, letter]
+            for q2 in _goal_successors(goal, q, letter):
+                if (q2, s2) not in parent:
+                    parent[q2, s2] = (v, letter)
+                    queue.append((q2, s2))
+    if found is None:
+        return Search(None, len(parent) + expanded)
+    path: list[Letter] = []
+    step = parent[found]
+    while step is not None:
+        v, letter = step
+        path.append(letter)
+        step = parent[v]
+    path.reverse()
+    return Search(tuple(path), len(parent) + expanded)
+
+
 def i_query(goal: QueryGoal, g: GlobalMoore) -> tuple[bool, tuple[Letter, ...] | None]:
     """Does the goal accept a finite prefix of the primary trace?
 
-    BFS over goal-state/machine-state pairs where each step consumes the
-    machine's own output; passes iff an accepting goal state is reachable,
-    returning the shortest accepted prefix.
+    Passes iff an accepting goal state is reachable when every step
+    consumes the profile's own output, returning the shortest accepted
+    prefix.
     """
-    start = (goal.initial, g.initial)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], Letter]] = {}
-    seen = {start}
-    queue: deque[tuple[int, int]] = deque([start])
-    while queue:
-        q, s = queue.popleft()
-        if q in goal.accepting:
-            path: list[Letter] = []
-            v = (q, s)
-            while v != start:
-                v, letter = parent[v]
-                path.append(letter)
-            path.reverse()
-            return True, tuple(path)
-        letter = g.gamma[s]
-        s2 = g.trans[s, letter]
-        for q2 in _goal_successors(goal, q, letter):
-            if (q2, s2) not in seen:
-                seen.add((q2, s2))
-                parent[q2, s2] = ((q, s), letter)
-                queue.append((q2, s2))
-    return False, None
-
-
-@dataclass
-class ProfileDeviationGame:
-    """Deviation game hard-wired to the profile: the coalition has no
-    discretion, it always commits the transducer's output, so solving is a
-    reachability question for the deviator."""
-
-    agent: int
-    arena: Arena
-    v0_index: dict[tuple[int, int], int]
-    v0_vertices: list[tuple[int, int]]
-    accepting_v0: frozenset[int]
-    edge_letter: dict[tuple[int, int], Letter]
-    result: SafetyResult
-
-    @property
-    def size(self) -> int:
-        return self.arena.n
-
-
-def build_profile_deviation_game(goal: QueryGoal, g: GlobalMoore, agent: int) -> ProfileDeviationGame:
-    alphabet = g.alphabet
-    agent_symbols = range(len(alphabet.channels[agent]))
-
-    v0_index: dict[tuple[int, int], int] = {}
-    v0_vertices: list[tuple[int, int]] = []
-    pending: deque[tuple[int, int]] = deque()
-
-    def intern(q: int, s: int) -> int:
-        if (q, s) not in v0_index:
-            v0_index[q, s] = len(v0_vertices)
-            v0_vertices.append((q, s))
-            pending.append((q, s))
-        return v0_index[q, s]
-
-    intern(goal.initial, g.initial)
-    v1_of: dict[int, int] = {}
-    n_v1 = 0
-    v1_edges: list[tuple[int, list[tuple[int, Letter]]]] = []
-    while pending:
-        q, s = pending.popleft()
-        vid = v0_index[q, s]
-        if q in goal.accepting:
-            continue
-        committed = g.gamma[s]
-        targets: list[tuple[int, Letter]] = []
-        for c in agent_symbols:
-            letter = committed[:agent] + (c,) + committed[agent + 1:]
-            s2 = g.trans[s, letter]
-            for q2 in _goal_successors(goal, q, letter):
-                targets.append((intern(q2, s2), letter))
-        v1_of[vid] = n_v1
-        v1_edges.append((vid, targets))
-        n_v1 += 1
-
-    n0 = len(v0_vertices)
-    n = n0 + n_v1
-    owner = [0] * n0 + [1] * n_v1
-    succ: list[list[int]] = [[] for _ in range(n)]
-    labels = [f"q={goal.names[q]} s={s}" for q, s in v0_vertices]
-    edge_letter: dict[tuple[int, int], Letter] = {}
-    for v1_pos, (v0_id, targets) in enumerate(v1_edges):
-        v1_id = n0 + v1_pos
-        labels.append(labels[v0_id] + " committed")
-        succ[v0_id].append(v1_id)
-        for target, letter in sorted(targets):
-            succ[v1_id].append(target)
-            edge_letter.setdefault((v1_id, target), letter)
-    arena = Arena(tuple(owner), tuple(tuple(s) for s in succ), tuple(labels))
-    accepting_v0 = frozenset(
-        v0_index[q, s] for (q, s) in v0_vertices if q in goal.accepting
-    )
-    safe = frozenset(v for v in range(n) if v not in accepting_v0)
-    result = solve_safety(SafetyInstance(arena, safe))
-    return ProfileDeviationGame(agent, arena, v0_index, v0_vertices, accepting_v0, edge_letter, result)
+    path = _search(goal, g).path
+    return path is not None, path
 
 
 @dataclass
@@ -149,82 +106,29 @@ class Violation:
     escape: tuple[Letter, ...]
 
 
-def j_query(goal: QueryGoal, g: GlobalMoore, agent: int) -> tuple[bool, Violation | None, ProfileDeviationGame]:
-    """Passes iff the primary trace never enters the deviator's winning
-    region.  On failure the violation is classified: if the goal accepts a
-    prefix of the primary trace outright, that prefix is the violating
-    object; otherwise the earliest winning-region entry is returned with a
-    concrete escape path for the deviator."""
-    dev = build_profile_deviation_game(goal, g, agent)
-    win1 = dev.result.win1
-    start = (goal.initial, g.initial)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], Letter]] = {}
-    seen = {start}
-    queue: deque[tuple[int, int]] = deque([start])
-    first_breach: tuple[int, int] | None = None
-    first_accepting: tuple[int, int] | None = None
-    while queue and first_accepting is None:
-        q, s = queue.popleft()
-        if first_breach is None and dev.v0_index[q, s] in win1:
-            first_breach = (q, s)
-        if q in goal.accepting:
-            first_accepting = (q, s)
-            break
-        letter = g.gamma[s]
-        s2 = g.trans[s, letter]
-        for q2 in _goal_successors(goal, q, letter):
-            if (q2, s2) not in seen:
-                seen.add((q2, s2))
-                parent[q2, s2] = ((q, s), letter)
-                queue.append((q2, s2))
-    if first_breach is None:
-        return True, None, dev
+def j_query(goal: QueryGoal, g: GlobalMoore, agent: int) -> tuple[bool, Violation | None, Search]:
+    """Passes iff the agent's goal accepts no prefix of any trace on which
+    the other agents follow the profile and the agent emits what it likes.
 
-    def path_to(vertex: tuple[int, int]) -> tuple[Letter, ...]:
-        out: list[Letter] = []
-        v = vertex
-        while v != start:
-            v, letter = parent[v]
-            out.append(letter)
-        out.reverse()
-        return tuple(out)
+    On failure the violation is classified.  If the goal accepts a prefix of
+    the primary trace outright, that shortest prefix is a "primary-trace"
+    violation with an empty escape.  Otherwise it is a "deviant-trace"
+    violation whose escape is the shortest letter sequence (lowest letters
+    first) that drives the goal into acceptance from the start.  Its prefix
+    is always empty: the deviator can always conform to the profile, so
+    every pair of the primary trace is reachable from the initial pair, and
+    the earliest point at which an escape exists is therefore the start.
 
-    if first_accepting is not None:
-        return False, Violation("primary-trace", path_to(first_accepting), ()), dev
-    escape = _escape_path(dev, dev.v0_index[first_breach])
-    return False, Violation("deviant-trace", path_to(first_breach), escape), dev
-
-
-def _escape_path(dev: ProfileDeviationGame, source: int) -> tuple[Letter, ...]:
-    """Letters the deviator forces from a winning vertex to goal acceptance.
-
-    The coalition's moves are fixed, so any arena path is realizable and
-    BFS suffices; letters live on the agent-1 edges."""
-    parent: dict[int, int] = {}
-    seen = {source}
-    queue: deque[int] = deque([source])
-    target = None
-    while queue:
-        v = queue.popleft()
-        if v in dev.accepting_v0:
-            target = v
-            break
-        for w in dev.arena.succ[v]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = v
-                queue.append(w)
-    if target is None:
-        raise RuntimeError("winning deviation vertex has no path to acceptance")
-    vertices = [target]
-    while vertices[-1] != source:
-        vertices.append(parent[vertices[-1]])
-    vertices.reverse()
-    letters = []
-    for v, w in zip(vertices, vertices[1:]):
-        if dev.arena.owner[v] == 1:
-            letters.append(dev.edge_letter[v, w])
-    return tuple(letters)
+    The third element is the deviator's search, whose `size` counts the
+    pairs it reached plus the pairs it expanded.
+    """
+    primary = _search(goal, g).path
+    deviant = _search(goal, g, agent)
+    if primary is not None:
+        return False, Violation("primary-trace", primary, ()), deviant
+    if deviant.path is not None:
+        return False, Violation("deviant-trace", (), deviant.path), deviant
+    return True, None, deviant
 
 
 @dataclass
@@ -271,9 +175,9 @@ def verify(game: Ibg, winners: frozenset[int] | set[int], profile: StrategyProfi
     for j in game.agents:
         if j in winners:
             continue
-        passed, violation, dev = j_query(goals[j], g, j)
+        passed, violation, search = j_query(goals[j], g, j)
         loser_results[j] = QueryResult(j, passed, violation=violation)
-        dev_sizes[j] = dev.size
+        dev_sizes[j] = search.size
     ok = all(r.passed for r in winner_results.values()) and all(
         r.passed for r in loser_results.values()
     )

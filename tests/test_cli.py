@@ -1,7 +1,7 @@
 import json
 import re
 
-from ibgsolve import verify
+from ibgsolve import cli, verify
 from ibgsolve.cli import main
 from ibgsolve.formats import load_automaton_file, load_profile
 
@@ -57,20 +57,55 @@ def test_realizable_malformed_game_exits_2(capsys, tmp_path):
     assert "junk" in err
 
 
-def test_realizable_internal_error_exits_3(capsys, tmp_path):
-    # A goal nested this deep overflows the recursive formula parser; the
-    # crash must not exit 1, which would read as UNREALIZABLE.
-    formula = "X(" * 1500 + "p0=a" + ")" * 1500
+def test_realizable_internal_error_exits_3(capsys, games_dir, monkeypatch):
+    # A crash must not exit 1, which would read as UNREALIZABLE.
+    def crash(game, winners):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "realizable", crash)
+    code, out, err = run_cli(capsys, "realizable", str(games_dir / "ev.json"), "--winners", "0")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+DEEP_FORMULA = "X(" * 1500 + "p0=a" + ")" * 1500
+
+
+def test_deep_ltlf_goal_exits_2(capsys, tmp_path):
+    # Nesting deeper than the recursion limit is bad input, not a crash.
     game = tmp_path / "deep.json"
     game.write_text(json.dumps({
         "version": "ibg-game-1",
         "agents": [{"name": "p0", "alphabet": ["a", "b"],
-                    "goal": {"kind": "ltlf", "formula": formula}}],
+                    "goal": {"kind": "ltlf", "formula": DEEP_FORMULA}}],
     }))
-    code, out, err = run_cli(capsys, "realizable", str(game), "--winners", "0")
-    assert code == 3
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({
+        "version": "ibg-profile-1",
+        "machines": [{"states": ["s"], "initial": "s", "channels": [], "output": {"s": "a"},
+                      "transitions": [{"from": "s", "letter": [], "to": "s"}]}],
+    }))
+    for argv in (
+        ("realizable", str(game), "--winners", "0"),
+        ("verify", str(game), str(profile), "--winners", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: agents[0].goal.formula:")
+        assert err.count("\n") == 1
+
+
+def test_convert_deep_ltlf_exits_2(capsys, tmp_path):
+    src = tmp_path / "alphabet.json"
+    src.write_text(json.dumps({"version": "ibg-automaton-1", "channels": [["a", "b"]]}))
+    code, out, err = run_cli(
+        capsys, "convert", "--ltlf2afa", DEEP_FORMULA, str(src), str(tmp_path / "out.json")
+    )
+    assert code == 2
     assert out == ""
-    assert err.startswith("internal error:")
+    assert err.startswith("error: formula:")
     assert err.count("\n") == 1
 
 
