@@ -5,15 +5,17 @@ represented as a tuple of symbol indices, one per channel.  Restricted
 letters (projections onto a channel mask) use the same tuple representation
 over the mask's channels in ascending agent order.  The global alphabet is
 the cartesian product of the channels.  `ProductAlphabet.letters` generates
-it lazily in lexicographic order; the product construction and the oracle
-materialise that sequence once per query and index letters by position in
-it.
+it lazily in lexicographic order; the realizability product, the profile
+product and the oracle materialise that sequence once per query and index
+letters by position in it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
 Letter = tuple[int, ...]
@@ -98,16 +100,28 @@ class ProductAlphabet:
 
     def letter(self, symbols: Sequence[str], mask: ChannelMask | None = None) -> Letter:
         """Turn a sequence of symbol names into an index tuple."""
-        agents = mask.agents if mask is not None else range(self.k)
+        agents = mask.agents if mask is not None else tuple(range(self.k))
         if len(symbols) != len(agents):
             raise ValueError(f"expected {len(agents)} symbols, got {len(symbols)}")
-        picks = []
-        for i, sym in zip(agents, symbols):
-            try:
-                picks.append(self.channels[i].index(sym))
-            except ValueError:
-                raise ValueError(f"unknown symbol {sym!r} on channel {i}") from None
-        return tuple(picks)
+        tables = self._symbol_tables.get(agents)
+        if tables is None:
+            tables = self._symbol_tables[agents] = tuple(
+                {sym: x for x, sym in enumerate(self.channels[i])} for i in agents
+            )
+        try:
+            return tuple(map(getitem, tables, symbols))
+        except (KeyError, TypeError):
+            for i, sym in zip(agents, symbols):
+                if sym not in self.channels[i]:
+                    raise ValueError(f"unknown symbol {sym!r} on channel {i}") from None
+            raise
+
+    @cached_property
+    def _symbol_tables(self) -> dict[tuple[int, ...], tuple[dict[str, int], ...]]:
+        # Per mask, one symbol -> index dict per channel, filled on first
+        # use.  Not a dataclass field, so equality and hashing still see the
+        # channels only.
+        return {}
 
     def symbols(self, letter: Letter, mask: ChannelMask | None = None) -> tuple[str, ...]:
         agents = mask.agents if mask is not None else range(self.k)

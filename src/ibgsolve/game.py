@@ -10,6 +10,8 @@ observed letter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import repeat
 
 from .alphabet import ChannelMask, Letter, ProductAlphabet, UltimatelyPeriodicWord, project
 from .automata import GoalAutomaton, accepts_prefix
@@ -109,7 +111,10 @@ class GlobalMoore:
     """Reachable product of a profile's machines: one transducer for all agents.
 
     gamma maps each product state to the full letter the coalition emits
-    there; trans is total over reachable states and all input letters.
+    there.  trans is total over reachable states and all input letters, and
+    its entries are inserted state by state in discovery order, each state's
+    in lexicographic letter order.  Verification indexes it by (state,
+    letter); the benchmark's tracer reads len(trans).
     """
 
     alphabet: ProductAlphabet
@@ -133,16 +138,35 @@ def product_profile(profile: StrategyProfile) -> GlobalMoore:
     components = [start]
     gamma: list[Letter] = []
     trans: dict[tuple[int, Letter], int] = {}
+
+    # Letter-indexed tables, built once per build instead of once per
+    # (joint state, letter).  Letter x is the x-th letter in lexicographic
+    # order.  projections[mask][x] is letter x restricted to the mask;
+    # row_of(j, s) is machine j's successor row: entry x is its successor
+    # from state s on letter x.
+    letters = list(alphabet.letters())
+    projections = {
+        mask: [project(letter, mask) for letter in letters]
+        for mask in {m.mask for m in machines}
+    }
+
+    @cache
+    def row_of(j: int, s: int) -> list[int]:
+        m = machines[j]
+        return [m.trans[s, rl] for rl in projections[m.mask]]
+
     i = 0
     while i < len(components):
         state = components[i]
         gamma.append(tuple(m.output[s] for m, s in zip(machines, state)))
-        for letter in alphabet.letters():
-            nxt = tuple(m.step(s, letter) for m, s in zip(machines, state))
+        successors = list(zip(*[row_of(j, s) for j, s in enumerate(state)]))
+        # New joint states are numbered in the order of the first letter
+        # reaching them, as a letter-by-letter walk would number them.
+        for nxt in dict.fromkeys(successors):
             if nxt not in index:
                 index[nxt] = len(components)
                 components.append(nxt)
-            trans[i, letter] = index[nxt]
+        trans.update(zip(zip(repeat(i), letters), map(index.__getitem__, successors)))
         i += 1
     return GlobalMoore(alphabet, tuple(components), 0, tuple(gamma), trans)
 

@@ -4,12 +4,14 @@ import pytest
 
 from ibgsolve import (
     ChannelMask,
+    GlobalMoore,
     Ibg,
     Lasso,
     MooreMachine,
     StrategyProfile,
     primary_trace,
     product_profile,
+    realizable,
     winning_set,
 )
 
@@ -63,6 +65,52 @@ def test_product_echo_machine(alphabet, ev_game):
         for letter in alphabet.letters():
             target = g.trans[s, letter]
             assert g.gamma[target][1] == letter[0]
+
+
+def letter_at_a_time_product(profile):
+    # Reference: steps every machine on every letter of every joint state.
+    machines = profile.machines
+    alphabet = profile.alphabet
+    start = tuple(m.initial for m in machines)
+    index = {start: 0}
+    components = [start]
+    gamma = []
+    trans = {}
+    i = 0
+    while i < len(components):
+        state = components[i]
+        gamma.append(tuple(m.output[s] for m, s in zip(machines, state)))
+        for letter in alphabet.letters():
+            nxt = tuple(m.step(s, letter) for m, s in zip(machines, state))
+            if nxt not in index:
+                index[nxt] = len(components)
+                components.append(nxt)
+            trans[i, letter] = index[nxt]
+        i += 1
+    return GlobalMoore(alphabet, tuple(components), 0, tuple(gamma), trans)
+
+
+def test_product_profile_matches_letter_at_a_time_reference(ev_game, mp_game):
+    rng = random.Random(59)
+    profiles = []
+    for _ in range(320):
+        game = corpus.random_game(rng, max_k=rng.choice((2, 3, 4)))
+        profiles.append(corpus.random_profile(rng, game, max_states=rng.choice((2, 3, 4))))
+    for game in (ev_game, mp_game):
+        for picks in (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")):
+            profiles.append(corpus.constant_profile(game, picks))
+    witness = realizable(ev_game, {0, 1}).witness
+    assert witness is not None
+    assert all(m.mask == ChannelMask.full(2) and m.n_states > 1 for m in witness.machines)
+    profiles.append(witness)
+    for profile in profiles:
+        got = product_profile(profile)
+        want = letter_at_a_time_product(profile)
+        assert got.alphabet == want.alphabet
+        assert got.initial == want.initial
+        assert got.components == want.components
+        assert got.gamma == want.gamma
+        assert list(got.trans.items()) == list(want.trans.items())
 
 
 def test_primary_trace_constant(alphabet, ev_game):
