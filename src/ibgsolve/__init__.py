@@ -54,11 +54,9 @@ from .realizability import (
     RealizabilityVerdict,
     buchi_nonempty,
     build_deviation_game,
-    build_product_buchi,
     extract_witness,
     goal_as_dfa,
     realizable,
-    refine,
 )
 from .safety import Arena, SafetyInstance, SafetyResult, solve_safety
 from .verification import (

@@ -82,12 +82,6 @@ class ProductAlphabet:
             n *= len(channel)
         return n
 
-    def restricted_size(self, mask: ChannelMask) -> int:
-        n = 1
-        for i in mask.agents:
-            n *= len(self.channels[i])
-        return n
-
     def letters(self) -> Iterator[Letter]:
         """All letters in lexicographic index order, generated lazily."""
         return itertools.product(*(range(len(c)) for c in self.channels))

@@ -47,6 +47,8 @@ def _read_json(path: str) -> Any:
         raise formats.FormatError(f"{path}: {e.strerror}")
     except json.JSONDecodeError as e:
         raise formats.FormatError(f"{path}: invalid JSON: {e}")
+    except RecursionError:
+        raise formats.FormatError(f"{path}: nested too deeply") from None
 
 
 def _load_game(path: str) -> tuple[Ibg, list[str]]:

@@ -149,7 +149,7 @@ def load_goal(obj: Any, path: str, alphabet: ProductAlphabet) -> GoalAutomaton:
     initial = _state_id(obj["initial"], f"{path}.initial", index)
     accepting = frozenset(
         _state_id(name, f"{path}.accepting[{i}]", index)
-        for i, name in enumerate(obj["accepting"])
+        for i, name in enumerate(_string_list(obj["accepting"], f"{path}.accepting"))
     )
     transitions = obj["transitions"]
     if not isinstance(transitions, list):

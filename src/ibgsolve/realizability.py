@@ -1,12 +1,14 @@
 """Decide whether a Nash equilibrium with a prescribed winning set exists.
 
-The pipeline: convert every goal to a DFA, solve one deviation safety game
-per losing agent, build the product Buchi automaton that tracks all goals
-plus the set of still-unsatisfied winners, prune its transitions by the
-deviation games' winning regions, and test the result for nonemptiness.  A
-nonempty automaton yields a lasso, from which a witness profile is built:
-replay the lasso while everyone conforms, switch to the relevant deviation
-game's positional strategy after a unilateral deviation by a losing agent.
+The pipeline: convert every goal to a DFA whose accepting states lead to
+one absorbing sink, solve one deviation safety game per losing agent, build
+the product Buchi automaton over the goal states, keeping only transitions
+on which no losing agent's goal accepts and every deviation game stays in
+its winning region, and test the result for nonemptiness.  A product state
+accepts once every winner's goal is in its sink.  A nonempty automaton
+yields a lasso, from which a witness profile is built: replay the lasso
+while everyone conforms, switch to the relevant deviation game's positional
+strategy after a unilateral deviation by a losing agent.
 """
 
 from __future__ import annotations
@@ -21,13 +23,33 @@ from .safety import Arena, SafetyInstance, SafetyResult, solve_safety
 
 
 def goal_as_dfa(goal: GoalAutomaton) -> Dfa:
+    """The goal as a DFA in the one normal form realizability works on.
+
+    A goal is satisfied once some prefix is accepted, so nothing after the
+    first accepting state matters: every transition into or out of an
+    accepting state goes to one sink, which loops on every letter.  The
+    sink is the initial state if that accepts, else the lowest accepting
+    id.  States, names and the accepting set are kept; the accepting set is
+    closed under transitions, and a word has an accepted prefix iff it has
+    one under the goal.
+    """
     if isinstance(goal, Dfa):
-        return goal
-    if isinstance(goal, Nfa):
-        return determinize(goal)
-    if isinstance(goal, Afa):
-        return afa_to_dfa(goal)
-    raise TypeError(f"not a goal automaton: {goal!r}")
+        dfa = goal
+    elif isinstance(goal, Nfa):
+        dfa = determinize(goal)
+    elif isinstance(goal, Afa):
+        dfa = afa_to_dfa(goal)
+    else:
+        raise TypeError(f"not a goal automaton: {goal!r}")
+    accepting = dfa.accepting
+    if not accepting:
+        return dfa
+    sink = dfa.initial if dfa.initial in accepting else min(accepting)
+    delta = {
+        (q, rl): sink if q in accepting or target in accepting else target
+        for (q, rl), target in dfa.delta.items()
+    }
+    return Dfa(dfa.alphabet, dfa.mask, dfa.names, dfa.initial, accepting, delta)
 
 
 @dataclass
@@ -105,10 +127,10 @@ def build_deviation_game(game: Ibg, agent: int, goal_dfa: Dfa) -> DeviationGame:
 
 
 # ---------------------------------------------------------------------------
-# Product Buchi automaton over all goal DFAs plus the pending winner set.
+# Product Buchi automaton over all goal DFAs.
 
 
-ProductState = tuple[tuple[int, ...], frozenset[int]]
+ProductState = tuple[int, ...]
 
 
 @dataclass
@@ -116,18 +138,16 @@ class ProductBuchi:
     """Deterministic Buchi automaton accepting words on which exactly the
     prescribed winners' goals are satisfied.
 
-    The second state component is the set of winners whose goals are still
-    pending; it only shrinks and the empty set is absorbing.  Transitions
-    that would let a losing agent's goal accept are undefined.  When built
-    with deviation games (`refine`), transitions that leave some deviation
-    game's coalition winning region are dropped as well.  `trans` is filled
+    A state is the tuple of goal states.  Goals come from `goal_as_dfa`, so
+    accepting goal states are absorbing, and a state accepts iff every
+    winner's goal is in its accepting set.  Transitions that would let a
+    losing agent's goal accept, or that leave some losing agent's
+    deviation-game winning region, are undefined.  `trans` is filled
     source by source in state order, each source's letters lowest first;
     `buchi_nonempty` relies on that order for its lowest-letter
     tie-breaking.
     """
 
-    alphabet: ProductAlphabet
-    winners: frozenset[int]
     goal_dfas: tuple[Dfa, ...]
     states: list[ProductState]
     initial: int | None
@@ -143,25 +163,19 @@ def _build_product(
     goal_dfas: tuple[Dfa, ...],
     winners: frozenset[int],
     alphabet: ProductAlphabet,
-    deviation_games: dict[int, DeviationGame] | None,
+    deviation_games: dict[int, DeviationGame],
 ) -> ProductBuchi:
-    refined = deviation_games is not None
+    """The reachable product of `goal_as_dfa` goals, pruned by one deviation
+    game per losing agent (`{}` when every agent wins)."""
     k = len(goal_dfas)
     losers = [j for j in range(k) if j not in winners]
-    # A goal accepting the empty prefix is satisfied on every trace: winners
-    # start already satisfied, a losing agent makes the instance empty.
-    empty = ProductBuchi(alphabet, winners, goal_dfas, [], None, {}, frozenset())
+    # A losing agent whose goal accepts the empty prefix, or who can escape
+    # its deviation game from the start, makes the instance empty.
     for j in losers:
-        if goal_dfas[j].initial in goal_dfas[j].accepting:
-            return empty
-    if refined:
-        for j in losers:
-            if not deviation_games[j].v0_in_win0(goal_dfas[j].initial):
-                return empty
-    pending0 = frozenset(
-        i for i in winners if goal_dfas[i].initial not in goal_dfas[i].accepting
-    )
-    start: ProductState = (tuple(d.initial for d in goal_dfas), pending0)
+        d = goal_dfas[j]
+        if d.initial in d.accepting or not deviation_games[j].v0_in_win0(d.initial):
+            return ProductBuchi(goal_dfas, [], None, {}, frozenset())
+    start: ProductState = tuple(d.initial for d in goal_dfas)
     index: dict[ProductState, int] = {start: 0}
     states: list[ProductState] = [start]
     trans: dict[tuple[int, Letter], int] = {}
@@ -171,25 +185,16 @@ def _build_product(
     # letter in lexicographic order.  row_of(j, q) is goal j's successor
     # row: entry x is delta_j(q, letter x restricted to goal j's mask).
     # allowed_of(j, q), for a loser j, is an int whose bit x is set iff
-    # letter x keeps goal j out of its accepting set and, when refined, the
-    # letter stays in j's deviation-game winning region.  hits_of(i, q), for
-    # a winner i, has bit x set iff letter x takes goal i into its accepting
-    # set.  A product state ANDs its losers' masks and walks the set bits
-    # lowest first, so transitions are inserted in letter order, per source
-    # state in discovery order.
+    # letter x keeps goal j out of its accepting set and stays in j's
+    # deviation-game winning region.  A product state ANDs its losers'
+    # masks and walks the set bits lowest first, so transitions are
+    # inserted in letter order, per source state in discovery order.
     letters = list(alphabet.letters())
     full = (1 << len(letters)) - 1
     goal_positions: list[list[int]] = []
     for d in goal_dfas:
         classes = {rl: n for n, rl in enumerate(alphabet.restricted_letters(d.mask))}
         goal_positions.append([classes[project(letter, d.mask)] for letter in letters])
-
-    def bits_where(flags) -> int:
-        mask = 0
-        for x, flag in enumerate(flags):
-            if flag:
-                mask |= 1 << x
-        return mask
 
     @cache
     def row_of(j: int, q: int) -> tuple[int, ...]:
@@ -201,57 +206,36 @@ def _build_product(
     def allowed_of(j: int, q: int) -> int:
         accepting = goal_dfas[j].accepting
         row = row_of(j, q)
-        if not refined:
-            return bits_where(s not in accepting for s in row)
         dev = deviation_games[j]
-        return bits_where(
-            row[x] not in accepting and dev.v1_in_win0(q, letter)
-            for x, letter in enumerate(letters)
-        )
-
-    @cache
-    def hits_of(i: int, q: int) -> int:
-        accepting = goal_dfas[i].accepting
-        return bits_where(s in accepting for s in row_of(i, q))
+        mask = 0
+        for x, letter in enumerate(letters):
+            if row[x] not in accepting and dev.v1_in_win0(q, letter):
+                mask |= 1 << x
+        return mask
 
     i = 0
     while i < len(states):
-        qs, pending = states[i]
+        qs = states[i]
         state_rows = [row_of(j, q) for j, q in enumerate(qs)]
         keep = full
         for j in losers:
             keep &= allowed_of(j, qs[j])
-        pending_hits = [(w, hits_of(w, qs[w])) for w in pending]
-        any_hit = 0
-        for _, mask in pending_hits:
-            any_hit |= mask
         while keep:
             low = keep & -keep
             keep ^= low
             x = low.bit_length() - 1
-            nxt = tuple([r[x] for r in state_rows])
-            nxt_pending = pending
-            if any_hit & low:
-                nxt_pending = pending - frozenset(w for w, mask in pending_hits if mask & low)
-            state = (nxt, nxt_pending)
+            state = tuple([r[x] for r in state_rows])
             target = index.get(state)
             if target is None:
                 target = index[state] = len(states)
                 states.append(state)
             trans[i, letters[x]] = target
         i += 1
-    accepting = frozenset(i for i, (_, pending) in enumerate(states) if not pending)
-    return ProductBuchi(alphabet, winners, goal_dfas, states, 0, trans, accepting)
-
-
-def build_product_buchi(game: Ibg, winners: frozenset[int], goal_dfas: tuple[Dfa, ...]) -> ProductBuchi:
-    return _build_product(goal_dfas, winners, game.alphabet, None)
-
-
-def refine(ab: ProductBuchi, deviation_games: dict[int, DeviationGame]) -> ProductBuchi:
-    """Keep only transitions whose committed letter sits in every losing
-    agent's coalition winning region; rebuilt reachable-only."""
-    return _build_product(ab.goal_dfas, ab.winners, ab.alphabet, deviation_games)
+    accepting = frozenset(
+        v for v, qs in enumerate(states)
+        if all(qs[w] in goal_dfas[w].accepting for w in winners)
+    )
+    return ProductBuchi(goal_dfas, states, 0, trans, accepting)
 
 
 def _tarjan_cyclic(n: int, succ: list[list[int]]) -> list[bool]:
@@ -309,7 +293,7 @@ def _tarjan_cyclic(n: int, succ: list[list[int]]) -> list[bool]:
 def buchi_nonempty(ab: ProductBuchi) -> UltimatelyPeriodicWord | None:
     """Return an accepted lasso, or None when the language is empty.
 
-    The pending set is absorbing at empty, so every state reachable from an
+    Accepting goal states are absorbing, so every state reachable from an
     accepting state is accepting; nonemptiness reduces to finding a
     reachable accepting state that lies on a cycle.  The witness uses BFS
     both for the stem and the cycle, breaking ties by lowest letter index.
@@ -477,7 +461,7 @@ def extract_witness(
                 elif len(diff) == 1 and diff[0] in losers:
                     j = diff[0]
                     q = prod_states[p]
-                    goal_state = refined.states[q][0][j]
+                    goal_state = refined.states[q][j]
                     landed = goal_dfas[j].delta[goal_state, project(letter, goal_dfas[j].mask)]
                     nxt = ("B", j, landed)
                 else:

@@ -97,6 +97,28 @@ def test_deep_ltlf_goal_exits_2(capsys, tmp_path):
         assert err.count("\n") == 1
 
 
+def test_deep_json_exits_2(capsys, tmp_path):
+    game = tmp_path / "deep.json"
+    game.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "realizable", str(game), "--winners", "0")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {game}: nested too deeply\n"
+
+
+def test_non_list_accepting_exits_2(capsys, games_dir, tmp_path):
+    # A string must not be read as a list of one-character state names.
+    for accepting in (5, None, "q1"):
+        data = json.loads((games_dir / "ev.json").read_text())
+        data["agents"][0]["goal"]["accepting"] = accepting
+        game = tmp_path / "bad_accepting.json"
+        game.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "realizable", str(game), "--winners", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: agents[0].goal.accepting: expected a list of strings\n"
+
+
 def test_convert_deep_ltlf_exits_2(capsys, tmp_path):
     src = tmp_path / "alphabet.json"
     src.write_text(json.dumps({"version": "ibg-automaton-1", "channels": [["a", "b"]]}))

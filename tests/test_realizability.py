@@ -4,21 +4,23 @@ import random
 import pytest
 
 from ibgsolve import (
+    Afa,
     Dfa,
+    Nfa,
     Lasso,
     accepts_prefix,
+    afa_to_dfa,
     as_afa,
     as_nfa,
     buchi_nonempty,
     build_deviation_game,
-    build_product_buchi,
+    determinize,
     extract_witness,
     goal_as_dfa,
     oracle_realizable_onesided,
     oracle_verify,
     project,
     realizable,
-    refine,
     verify,
     winning_set,
     Ibg,
@@ -79,7 +81,51 @@ def test_deviation_game_bounded_channel_vertex_classes(ev_game):
 
 
 # ---------------------------------------------------------------------------
-# product automaton and refinement
+# goal normal form
+
+
+def product_for(game, winners, goal_dfas=None):
+    """The product and deviation games `realizable` builds."""
+    if goal_dfas is None:
+        goal_dfas = tuple(goal_as_dfa(g) for g in game.goals)
+    devs = {
+        j: build_deviation_game(game, j, goal_dfas[j])
+        for j in game.agents
+        if j not in winners
+    }
+    return _build_product(goal_dfas, winners, game.alphabet, devs), devs
+
+
+def test_goal_as_dfa_accepting_sink():
+    rng = random.Random(113)
+    checked = 0
+    for _ in range(120):
+        alphabet = corpus.random_alphabet(rng)
+        goal = corpus.random_goal(rng, alphabet)
+        plain = {Dfa: lambda g: g, Nfa: determinize, Afa: afa_to_dfa}[type(goal)](goal)
+        dfa = goal_as_dfa(goal)
+        assert dfa.n_states == plain.n_states
+        assert dfa.names == plain.names
+        assert dfa.initial == plain.initial
+        assert dfa.accepting == plain.accepting
+        if dfa.accepting:
+            sink = dfa.initial if dfa.initial in dfa.accepting else min(dfa.accepting)
+            for (q, rl), target in dfa.delta.items():
+                if q in dfa.accepting or plain.delta[q, rl] in dfa.accepting:
+                    assert target == sink
+                else:
+                    assert target == plain.delta[q, rl]
+            checked += 1
+        else:
+            assert dfa.delta == plain.delta
+        for _ in range(8):
+            lasso = corpus.random_lasso(rng, alphabet)
+            assert accepts_prefix(dfa, lasso) == accepts_prefix(goal, lasso)
+    assert checked > 40
+
+
+# ---------------------------------------------------------------------------
+# product automaton
 
 
 def test_product_all_goals_immediately_satisfied(alphabet, ev_game):
@@ -89,9 +135,9 @@ def test_product_all_goals_immediately_satisfied(alphabet, ev_game):
             Dfa(goal.alphabet, goal.mask, goal.names, goal.initial, frozenset({0, 1}), goal.delta)
         )
     game = Ibg(alphabet, tuple(always))
-    winners = frozenset({0, 1})
-    ab = build_product_buchi(game, winners, tuple(always))
-    assert ab.states[ab.initial][1] == frozenset()  # satisfied at construction
+    ab, _ = product_for(game, frozenset({0, 1}))
+    assert ab.initial in ab.accepting  # satisfied at construction
+    assert ab.n_states == 1
     assert buchi_nonempty(ab) is not None
 
 
@@ -100,101 +146,60 @@ def test_product_empty_goals_empty_winners(alphabet, ev_game):
         Dfa(g.alphabet, g.mask, g.names, g.initial, frozenset(), g.delta) for g in ev_game.goals
     )
     game = Ibg(alphabet, hollow)
-    ab = build_product_buchi(game, frozenset(), hollow)
-    assert all(pending == frozenset() for _, pending in ab.states)
+    ab, _ = product_for(game, frozenset())
+    assert ab.accepting == frozenset(range(ab.n_states))
     assert buchi_nonempty(ab) is not None
 
 
 def test_product_mp_empty_winners_is_empty(mp_game):
-    goal_dfas = tuple(goal_as_dfa(g) for g in mp_game.goals)
-    ab = build_product_buchi(mp_game, frozenset(), goal_dfas)
-    # every first letter satisfies one of the two goals, so no transition survives
+    ab, _ = product_for(mp_game, frozenset())
+    # every first letter satisfies one of the two goals, so each loser can
+    # escape at once and no transition survives
     assert not ab.trans
     assert buchi_nonempty(ab) is None
 
 
-def test_pending_set_monotone_and_absorbing():
+def test_accepting_set_closed_under_transitions():
     rng = random.Random(83)
     for _ in range(60):
         game = corpus.random_game(rng, kinds="dfa")
         goal_dfas = tuple(goal_as_dfa(g) for g in game.goals)
+        for d in goal_dfas:
+            for (q, _), target in d.delta.items():
+                if q in d.accepting:
+                    assert target in d.accepting
         for winners in all_winner_sets(game):
-            ab = build_product_buchi(game, winners, goal_dfas)
+            ab, _ = product_for(game, winners, goal_dfas)
             for (src, _), dst in ab.trans.items():
-                pending_src = ab.states[src][1]
-                pending_dst = ab.states[dst][1]
-                assert pending_dst <= pending_src
-                if not pending_src:
-                    assert not pending_dst
-
-
-def test_refine_identity_for_full_winners(ev_game):
-    goal_dfas = tuple(goal_as_dfa(g) for g in ev_game.goals)
-    winners = frozenset({0, 1})
-    ab = build_product_buchi(ev_game, winners, goal_dfas)
-    refined = refine(ab, {})
-    assert refined.trans == ab.trans
-    assert refined.states == ab.states
+                if src in ab.accepting:
+                    assert dst in ab.accepting
 
 
 def test_refine_mp_kills_initial_transitions(mp_game):
-    goal_dfas = tuple(goal_as_dfa(g) for g in mp_game.goals)
     for winners in [frozenset(), frozenset({0}), frozenset({1})]:
-        devs = {
-            j: build_deviation_game(mp_game, j, goal_dfas[j])
-            for j in mp_game.agents
-            if j not in winners
-        }
-        ab = build_product_buchi(mp_game, winners, goal_dfas)
-        refined = refine(ab, devs)
-        assert buchi_nonempty(refined) is None
+        ab, _ = product_for(mp_game, winners)
+        assert buchi_nonempty(ab) is None
 
 
 def test_refine_ev_keeps_safe_letters(alphabet, ev_game):
-    goal_dfas = tuple(goal_as_dfa(g) for g in ev_game.goals)
     winners = frozenset({0})
-    devs = {1: build_deviation_game(ev_game, 1, goal_dfas[1])}
-    ab = build_product_buchi(ev_game, winners, goal_dfas)
-    refined = refine(ab, devs)
-    surviving = {letter for (src, letter) in refined.trans if src == refined.initial}
+    ab, _ = product_for(ev_game, winners)
+    surviving = {letter for (src, letter) in ab.trans if src == ab.initial}
     assert surviving == {alphabet.letter(("a", "c")), alphabet.letter(("a", "d"))}
-    lasso = buchi_nonempty(refined)
+    lasso = buchi_nonempty(ab)
     assert lasso is not None
-    assert accepts_prefix(goal_dfas[0], lasso)
+    assert accepts_prefix(ab.goal_dfas[0], lasso)
     assert winning_set(lasso, ev_game) == winners
 
 
-def test_refinement_transitions_subset_of_unrefined():
-    rng = random.Random(89)
-    for _ in range(40):
-        game = corpus.random_game(rng, kinds="dfa")
-        goal_dfas = tuple(goal_as_dfa(g) for g in game.goals)
-        for winners in all_winner_sets(game):
-            devs = {
-                j: build_deviation_game(game, j, goal_dfas[j])
-                for j in game.agents
-                if j not in winners
-            }
-            ab = build_product_buchi(game, winners, goal_dfas)
-            refined = refine(ab, devs)
-            unrefined_edges = {
-                (ab.states[src], letter, ab.states[dst]) for (src, letter), dst in ab.trans.items()
-            }
-            refined_edges = {
-                (refined.states[src], letter, refined.states[dst])
-                for (src, letter), dst in refined.trans.items()
-            }
-            assert refined_edges <= unrefined_edges
-
-
 def reference_product(goal_dfas, winners, alphabet, deviation_games):
-    """The product as the definition reads, one letter at a time: states,
+    """The product as the definition reads, one letter at a time, with the
+    set of winners still pending next to the goal states: states,
     transitions in insertion order, and accepting states."""
     losers = [j for j in range(len(goal_dfas)) if j not in winners]
-    refined = deviation_games is not None
     if any(goal_dfas[j].initial in goal_dfas[j].accepting for j in losers):
         return [], [], frozenset()
-    if refined and not all(deviation_games[j].v0_in_win0(goal_dfas[j].initial) for j in losers):
+    if not all(deviation_games[j].v0_in_win0(goal_dfas[j].initial) for j in losers):
         return [], [], frozenset()
     pending = frozenset(i for i in winners if goal_dfas[i].initial not in goal_dfas[i].accepting)
     states = [(tuple(d.initial for d in goal_dfas), pending)]
@@ -204,7 +209,7 @@ def reference_product(goal_dfas, winners, alphabet, deviation_games):
             nxt = tuple(d.delta[q, project(letter, d.mask)] for d, q in zip(goal_dfas, qs))
             if any(nxt[j] in goal_dfas[j].accepting for j in losers):
                 continue
-            if refined and not all(deviation_games[j].v1_in_win0(qs[j], letter) for j in losers):
+            if not all(deviation_games[j].v1_in_win0(qs[j], letter) for j in losers):
                 continue
             state = (nxt, frozenset(i for i in pending if nxt[i] not in goal_dfas[i].accepting))
             if state not in states:
@@ -277,21 +282,13 @@ def test_product_matches_letter_at_a_time_reference():
     for game in games:
         goal_dfas = tuple(goal_as_dfa(g) for g in game.goals)
         for winners in all_winner_sets(game):
-            devs = {
-                j: build_deviation_game(game, j, goal_dfas[j])
-                for j in game.agents
-                if j not in winners
-            }
-            for deviation_games in (None, devs):
-                ab = _build_product(goal_dfas, winners, game.alphabet, deviation_games)
-                states, trans, accepting = reference_product(
-                    goal_dfas, winners, game.alphabet, deviation_games
-                )
-                assert ab.states == states
-                assert list(ab.trans.items()) == trans
-                assert ab.accepting == accepting
-                expected = reference_lasso(len(states), trans, accepting, game.alphabet)
-                assert buchi_nonempty(ab) == expected
+            ab, devs = product_for(game, winners, goal_dfas)
+            states, trans, accepting = reference_product(goal_dfas, winners, game.alphabet, devs)
+            assert ab.states == [qs for qs, _ in states]
+            assert list(ab.trans.items()) == trans
+            assert ab.accepting == accepting
+            expected = reference_lasso(len(states), trans, accepting, game.alphabet)
+            assert buchi_nonempty(ab) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +296,7 @@ def test_product_matches_letter_at_a_time_reference():
 
 
 def test_nonempty_no_transitions(mp_game):
-    goal_dfas = tuple(goal_as_dfa(g) for g in mp_game.goals)
-    ab = build_product_buchi(mp_game, frozenset(), goal_dfas)
+    ab, _ = product_for(mp_game, frozenset())
     assert buchi_nonempty(ab) is None
 
 
@@ -309,7 +305,7 @@ def test_nonempty_accepting_self_loop(alphabet, ev_game):
         Dfa(g.alphabet, g.mask, g.names, g.initial, frozenset(), g.delta) for g in ev_game.goals
     )
     game = Ibg(alphabet, hollow)
-    ab = build_product_buchi(game, frozenset(), hollow)
+    ab, _ = product_for(game, frozenset())
     lasso = buchi_nonempty(ab)
     assert lasso is not None
     assert lasso.prefix == ()
@@ -421,11 +417,7 @@ def test_every_witness_passes_both_verifiers():
 
 
 def test_witness_lasso_recheck_guards_against_bad_input(ev_game):
-    verdict = realizable(ev_game, frozenset({0}))
-    goal_dfas = tuple(goal_as_dfa(g) for g in ev_game.goals)
-    devs = {1: build_deviation_game(ev_game, 1, goal_dfas[1])}
-    ab = build_product_buchi(ev_game, frozenset({0}), goal_dfas)
-    refined = refine(ab, devs)
+    refined, devs = product_for(ev_game, frozenset({0}))
     bogus = Lasso((), (ev_game.alphabet.letter(("b", "c")),))
     with pytest.raises(RuntimeError):
         extract_witness(ev_game, frozenset({0}), bogus, refined, devs)
