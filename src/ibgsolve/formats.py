@@ -88,6 +88,43 @@ def _load_letter(obj: Any, path: str, alphabet: ProductAlphabet, mask: ChannelMa
         raise FormatError(f"{path}: {e}") from None
 
 
+_EDGE_KEYS = {"to": {"from", "letter", "to"}, "formula": {"from", "letter", "formula"}}
+
+
+def _load_edge(
+    t: Any,
+    i: int,
+    path: str,
+    index: dict[str, int],
+    alphabet: ProductAlphabet,
+    mask: ChannelMask,
+    seen: dict | None,
+    target: str = "to",
+) -> tuple[int, Letter, Any]:
+    """The entry `path.transitions[i]` as (source, letter, target).
+
+    `target` names the entry's third field: a state name under "to", any
+    value (returned as is) otherwise.  With `seen` given, a (source, letter)
+    key already in it is a duplicate.  A well-formed entry costs a few
+    lookups; only an entry failing one of them gets field paths built, as it
+    is checked again field by field to raise the error naming the field.
+    """
+    try:
+        if t.keys() == _EDGE_KEYS[target] and type(t["letter"]) is list:
+            key = (index[t["from"]], alphabet.letter(t["letter"], mask))
+            if seen is None or key not in seen:
+                return (*key, index[t["to"]] if target == "to" else t[target])
+    except (AttributeError, LookupError, TypeError, ValueError):
+        pass
+    tp = f"{path}.transitions[{i}]"
+    _require_keys(t, tp, _EDGE_KEYS[target])
+    key = (_state_id(t["from"], f"{tp}.from", index),
+           _load_letter(t["letter"], f"{tp}.letter", alphabet, mask))
+    if seen is not None and key in seen:
+        raise FormatError(f"{tp}: duplicate transition source")
+    return (*key, _state_id(t["to"], f"{tp}.to", index) if target == "to" else t[target])
+
+
 def _load_formula(obj: Any, path: str, index: dict[str, int]) -> BoolFormula:
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: expected a formula object")
@@ -158,34 +195,19 @@ def load_goal(obj: Any, path: str, alphabet: ProductAlphabet) -> GoalAutomaton:
         if kind == "dfa":
             delta: dict[tuple[int, Letter], int] = {}
             for i, t in enumerate(transitions):
-                tp = f"{path}.transitions[{i}]"
-                _require_keys(t, tp, {"from", "letter", "to"})
-                key = (_state_id(t["from"], f"{tp}.from", index),
-                       _load_letter(t["letter"], f"{tp}.letter", alphabet, mask))
-                if key in delta:
-                    raise FormatError(f"{tp}: duplicate transition source")
-                delta[key] = _state_id(t["to"], f"{tp}.to", index)
+                q, rl, target = _load_edge(t, i, path, index, alphabet, mask, delta)
+                delta[q, rl] = target
             return Dfa(alphabet, mask, names, initial, accepting, delta)
         if kind == "nfa":
-            triples = set()
-            for i, t in enumerate(transitions):
-                tp = f"{path}.transitions[{i}]"
-                _require_keys(t, tp, {"from", "letter", "to"})
-                triples.add((
-                    _state_id(t["from"], f"{tp}.from", index),
-                    _load_letter(t["letter"], f"{tp}.letter", alphabet, mask),
-                    _state_id(t["to"], f"{tp}.to", index),
-                ))
-            return Nfa(alphabet, mask, names, initial, accepting, frozenset(triples))
+            triples = frozenset(
+                _load_edge(t, i, path, index, alphabet, mask, None)
+                for i, t in enumerate(transitions)
+            )
+            return Nfa(alphabet, mask, names, initial, accepting, triples)
         adelta: dict[tuple[int, Letter], BoolFormula] = {}
         for i, t in enumerate(transitions):
-            tp = f"{path}.transitions[{i}]"
-            _require_keys(t, tp, {"from", "letter", "formula"})
-            key = (_state_id(t["from"], f"{tp}.from", index),
-                   _load_letter(t["letter"], f"{tp}.letter", alphabet, mask))
-            if key in adelta:
-                raise FormatError(f"{tp}: duplicate transition source")
-            adelta[key] = _load_formula(t["formula"], f"{tp}.formula", index)
+            q, rl, formula = _load_edge(t, i, path, index, alphabet, mask, adelta, "formula")
+            adelta[q, rl] = _load_formula(formula, f"{path}.transitions[{i}].formula", index)
         return Afa(alphabet, mask, names, initial, accepting, adelta)
     except FormatError:
         raise
@@ -307,13 +329,8 @@ def load_profile(data: Any, alphabet: ProductAlphabet) -> StrategyProfile:
             raise FormatError(f"{path}.transitions: expected a list")
         trans: dict[tuple[int, Letter], int] = {}
         for t_i, t in enumerate(transitions):
-            tp = f"{path}.transitions[{t_i}]"
-            _require_keys(t, tp, {"from", "letter", "to"})
-            key = (_state_id(t["from"], f"{tp}.from", index),
-                   _load_letter(t["letter"], f"{tp}.letter", alphabet, mask))
-            if key in trans:
-                raise FormatError(f"{tp}: duplicate transition source")
-            trans[key] = _state_id(t["to"], f"{tp}.to", index)
+            s, rl, target = _load_edge(t, t_i, path, index, alphabet, mask, trans)
+            trans[s, rl] = target
         try:
             machines.append(MooreMachine(i, alphabet, mask, names, initial, tuple(output), trans))
         except ValueError as e:

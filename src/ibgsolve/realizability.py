@@ -8,7 +8,8 @@ its winning region, and test the result for nonemptiness.  A product state
 accepts once every winner's goal is in its sink.  A nonempty automaton
 yields a lasso, from which a witness profile is built: replay the lasso
 while everyone conforms, switch to the relevant deviation game's positional
-strategy after a unilateral deviation by a losing agent.
+strategy after a unilateral deviation by a losing agent.  Its machines read
+only the losers' channels, the only ones such a deviation can change.
 """
 
 from __future__ import annotations
@@ -418,6 +419,15 @@ def extract_witness(
     tracks that agent's deviation game with the coalition's positional
     strategy.  Any other divergence falls through to mode C, a fixed
     constant output.
+
+    Every machine reads only the losers' channels (none when every agent
+    wins).  An equilibrium need only withstand unilateral deviations by
+    losers: a winner is already satisfied.  While every agent but one
+    loser conforms, the unread channels carry the expected letter's
+    symbols, so each restricted letter is filled in from the expected
+    letter and the goal state it lands in is exact.  A winner's deviation
+    is therefore never seen, and mode C is reached only when two or more
+    losers deviate at once.
     """
     alphabet = game.alphabet
     prod_states = _replay_lasso(refined, lasso)
@@ -425,6 +435,8 @@ def extract_witness(
     wrap = len(lasso.prefix)
     goal_dfas = refined.goal_dfas
     losers = [j for j in range(alphabet.k) if j not in winners]
+    mask = ChannelMask.of(losers)
+    restricted = list(alphabet.restricted_letters(mask))
 
     def next_pos(p: int) -> int:
         return p + 1 if p + 1 < span else wrap
@@ -452,13 +464,16 @@ def extract_witness(
         else:
             expected = tuple(0 for _ in range(alphabet.k))
         outputs.append(expected)
-        for letter in alphabet.letters():
-            diff = [c for c in range(alphabet.k) if letter[c] != expected[c]]
+        for rl in restricted:
+            letter = list(expected)
+            for j, x in zip(losers, rl):
+                letter[j] = x
+            diff = [j for j in losers if letter[j] != expected[j]]
             if state[0] == "A":
                 p = state[1]
                 if not diff:
                     nxt: ModeState = ("A", next_pos(p))
-                elif len(diff) == 1 and diff[0] in losers:
+                elif len(diff) == 1:
                     j = diff[0]
                     q = prod_states[p]
                     goal_state = refined.states[q][j]
@@ -475,7 +490,7 @@ def extract_witness(
                     nxt = ("C",)
             else:
                 nxt = ("C",)
-            trans[i, letter] = intern(nxt)
+            trans[i, rl] = intern(nxt)
         i += 1
 
     def state_name(state: ModeState) -> str:
@@ -486,14 +501,13 @@ def extract_witness(
         return "default"
 
     names = tuple(state_name(s) for s in states)
-    full = alphabet.full_mask()
     machines = []
     for agent in game.agents:
         machines.append(
             MooreMachine(
                 owner=agent,
                 alphabet=alphabet,
-                mask=full,
+                mask=mask,
                 names=names,
                 initial=0,
                 output=tuple(out[agent] for out in outputs),

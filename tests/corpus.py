@@ -24,7 +24,11 @@ from ibgsolve import (
     ProductAlphabet,
     StrategyProfile,
     UltimatelyPeriodicWord,
+    goal_as_dfa,
+    project,
+    realizable,
 )
+from ibgsolve.realizability import _build_product
 
 SYMBOL_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")
 
@@ -237,3 +241,84 @@ def nth_from_end_nfa(alphabet: ProductAlphabet, n: int) -> Nfa:
             triples.add((i, rl, i + 1))
     triples.add((0, (1,), 1))
     return Nfa(alphabet, mask, names, 0, frozenset({n - 1}), frozenset(triples))
+
+
+# ---------------------------------------------------------------------------
+# Reference witness.
+
+
+def full_mask_witness(game: Ibg, winners, lasso, refined, deviation_games) -> StrategyProfile:
+    """Reference for `extract_witness`: the same modes A, B and C, but every
+    machine reads every channel and steps on every full letter.  Mode A
+    moves to mode B on a letter deviating in exactly one losing agent's
+    channel, and any other divergence, a winner's included, to mode C."""
+    alphabet = game.alphabet
+    goal_dfas = refined.goal_dfas
+    losers = [j for j in game.agents if j not in winners]
+    span = lasso.span
+    wrap = len(lasso.prefix)
+    prod_states = [refined.initial]
+    for t in range(span):
+        prod_states.append(refined.trans[prod_states[-1], lasso.at(t)])
+
+    index = {("A", 0): 0}
+    states = [("A", 0)]
+    outputs = []
+    trans = {}
+    i = 0
+    while i < len(states):
+        state = states[i]
+        if state[0] == "A":
+            expected = lasso.at(state[1])
+        elif state[0] == "B":
+            expected = deviation_games[state[1]].strategy_letter(state[2])
+        else:
+            expected = tuple(0 for _ in game.agents)
+        outputs.append(expected)
+        for letter in alphabet.letters():
+            diff = [c for c in game.agents if letter[c] != expected[c]]
+            if state[0] == "A":
+                p = state[1]
+                if not diff:
+                    nxt = ("A", p + 1 if p + 1 < span else wrap)
+                elif len(diff) == 1 and diff[0] in losers:
+                    j = diff[0]
+                    goal_state = refined.states[prod_states[p]][j]
+                    nxt = ("B", j, goal_dfas[j].delta[goal_state, project(letter, goal_dfas[j].mask)])
+                else:
+                    nxt = ("C",)
+            elif state[0] == "B" and all(c == state[1] for c in diff):
+                j, q = state[1], state[2]
+                nxt = ("B", j, goal_dfas[j].delta[q, project(letter, goal_dfas[j].mask)])
+            else:
+                nxt = ("C",)
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            trans[i, letter] = index[nxt]
+        i += 1
+
+    def state_name(state) -> str:
+        if state[0] == "A":
+            return f"replay{state[1]}"
+        if state[0] == "B":
+            return f"escape{state[1]}_{goal_dfas[state[1]].names[state[2]]}"
+        return "default"
+
+    names = tuple(state_name(s) for s in states)
+    return StrategyProfile(tuple(
+        MooreMachine(agent, alphabet, alphabet.full_mask(), names, 0,
+                     tuple(out[agent] for out in outputs), dict(trans))
+        for agent in game.agents
+    ))
+
+
+def reference_witness(game: Ibg, winners) -> StrategyProfile | None:
+    """The full-mask reference witness for the lasso `realizable` picks, or
+    None when no equilibrium with this winning set exists."""
+    verdict = realizable(game, winners)
+    if not verdict.realizable:
+        return None
+    goal_dfas = tuple(goal_as_dfa(g) for g in game.goals)
+    refined = _build_product(goal_dfas, verdict.winners, game.alphabet, verdict.deviation_games)
+    return full_mask_witness(game, verdict.winners, verdict.lasso, refined, verdict.deviation_games)

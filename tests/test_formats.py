@@ -3,7 +3,21 @@ import random
 
 import pytest
 
-from ibgsolve import Afa, Dfa, Nfa, afa_accepts, dfa_accepts, nfa_accepts, verify
+from ibgsolve import (
+    Afa,
+    ChannelMask,
+    Dfa,
+    Ibg,
+    MooreMachine,
+    Nfa,
+    StrategyProfile,
+    afa_accepts,
+    as_afa,
+    as_nfa,
+    dfa_accepts,
+    nfa_accepts,
+    verify,
+)
 from ibgsolve.formats import (
     FormatError,
     dump_json,
@@ -149,6 +163,76 @@ def test_profile_wrong_machine_count(ev_game):
     data["machines"].pop()
     with pytest.raises(FormatError, match="machines"):
         load_profile(data, ev_game.alphabet)
+
+
+def two_state_profile(game):
+    # Full-mask machines with two states, so transitions[0] and [1] leave
+    # the same state on different letters.
+    full = ChannelMask.full(game.k)
+    trans = {(s, letter): 1 - s for s in range(2) for letter in game.alphabet.letters()}
+    return StrategyProfile(tuple(
+        MooreMachine(i, game.alphabet, full, ("s", "t"), 0, (0, 1), trans) for i in game.agents
+    ))
+
+
+def transition_error_cases(target):
+    # (edit of transitions[1], message suffix after "<path>.transitions[1]").
+    bad_target = (
+        ("to", "nowhere", ".to: unknown state 'nowhere'")
+        if target == "to"
+        else ("formula", {"op": "atom", "state": "nowhere"}, ".formula.state: unknown state 'nowhere'")
+    )
+    return [
+        (lambda ts: ts[1].update(extra=1), ": unknown field 'extra'"),
+        (lambda ts: ts[1].pop(target), f": missing field {target!r}"),
+        (lambda ts: (ts[1].update(extra=1), ts[1].pop("from")), ": unknown field 'extra'"),
+        (lambda ts: ts.__setitem__(1, ["from"]), ": expected an object"),
+        (lambda ts: ts[1].update({"from": "nowhere"}), ".from: unknown state 'nowhere'"),
+        (lambda ts: ts[1].update({"from": 5}), ".from: expected a string"),
+        (lambda ts: ts[1].update({"from": "nowhere", "letter": ["z"]}), ".from: unknown state 'nowhere'"),
+        (lambda ts: ts[1].update({bad_target[0]: bad_target[1]}), bad_target[2]),
+        (lambda ts: ts[1].update(letter=["a", "z"]), ".letter: unknown symbol 'z' on channel 1"),
+        (lambda ts: ts[1].update(letter=["a"]), ".letter: expected 2 symbols, got 1"),
+        (lambda ts: ts[1].update(letter="ac"), ".letter: expected a list of strings"),
+        (lambda ts: ts[1].update(letter=["a", 3]), ".letter: expected a list of strings"),
+    ]
+
+
+def duplicate_cases(target):
+    bad_target = "nowhere" if target == "to" else {"op": "nope"}
+    return [
+        (lambda ts: ts.__setitem__(1, dict(ts[0])), ": duplicate transition source"),
+        (lambda ts: ts.__setitem__(1, dict(ts[0], **{target: bad_target})), ": duplicate transition source"),
+    ]
+
+
+def test_transition_errors_exact_messages(ev_game):
+    profile = save_profile(two_state_profile(ev_game))
+    games = {
+        "dfa": ev_game,
+        "nfa": Ibg(ev_game.alphabet, tuple(as_nfa(g) for g in ev_game.goals)),
+        "afa": Ibg(ev_game.alphabet, tuple(as_afa(g) for g in ev_game.goals)),
+    }
+    subjects = [("profile", "machines[0].transitions[1]", "to", True)]
+    subjects += [(kind, "agents[0].goal.transitions[1]", "formula" if kind == "afa" else "to", kind != "nfa")
+                 for kind in games]
+    checked = 0
+    for kind, path, target, unique in subjects:
+        cases = transition_error_cases(target) + (duplicate_cases(target) if unique else [])
+        for edit, suffix in cases:
+            if kind == "profile":
+                data = json.loads(dump_json(profile))
+                edit(data["machines"][0]["transitions"])
+                load = lambda: load_profile(data, ev_game.alphabet)  # noqa: E731
+            else:
+                data = json.loads(dump_json(save_game(games[kind])))
+                edit(data["agents"][0]["goal"]["transitions"])
+                load = lambda: load_game(data)  # noqa: E731
+            with pytest.raises(FormatError) as excinfo:
+                load()
+            assert str(excinfo.value) == path + suffix, (kind, suffix)
+            checked += 1
+    assert checked == 4 * 12 + 3 * 2
 
 
 def test_saved_goals_evaluate_identically():

@@ -11,7 +11,6 @@ from ibgsolve import (
     StrategyProfile,
     primary_trace,
     product_profile,
-    realizable,
     winning_set,
 )
 
@@ -99,7 +98,7 @@ def test_product_profile_matches_letter_at_a_time_reference(ev_game, mp_game):
     for game in (ev_game, mp_game):
         for picks in (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")):
             profiles.append(corpus.constant_profile(game, picks))
-    witness = realizable(ev_game, {0, 1}).witness
+    witness = corpus.reference_witness(ev_game, {0, 1})
     assert witness is not None
     assert all(m.mask == ChannelMask.full(2) and m.n_states > 1 for m in witness.machines)
     profiles.append(witness)

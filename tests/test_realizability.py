@@ -5,6 +5,7 @@ import pytest
 
 from ibgsolve import (
     Afa,
+    ChannelMask,
     Dfa,
     Nfa,
     Lasso,
@@ -69,8 +70,6 @@ def test_deviation_game_ev_coalition_holds(alphabet, ev_game):
 def test_deviation_game_bounded_channel_vertex_classes(ev_game):
     # a goal masked to channel 1 only keys its agent-1 vertices on channel 1
     alphabet = ev_game.alphabet
-    from ibgsolve import ChannelMask
-
     mask = ChannelMask.of((1,))
     delta = {(0, (0,)): 1, (0, (1,)): 0, (1, (0,)): 1, (1, (1,)): 1}
     goal = Dfa(alphabet, mask, ("q0", "hit"), 0, frozenset({1}), delta)
@@ -414,6 +413,49 @@ def test_every_witness_passes_both_verifiers():
             assert verify(game, winners, verdict.witness).is_equilibrium
             assert oracle_verify(game, winners, verdict.witness)
     assert count > 10
+
+
+def test_witness_matches_full_mask_reference(ev_game, mp_game):
+    # Every machine reads only the losers' channels, and on every letter a
+    # lone loser's deviation (or conformance) can produce it reacts as the
+    # full-mask reference does: same target state, same outputs.
+    rng = random.Random(109)
+    games = [ev_game, mp_game]
+    for _ in range(40):
+        game = corpus.random_game(rng, kinds="dfa")
+        games.append(game)
+        games.append(Ibg(game.alphabet, tuple(as_nfa(g) for g in game.goals)))
+        games.append(Ibg(game.alphabet, tuple(as_afa(g) for g in game.goals)))
+    for _ in range(40):
+        games.append(corpus.random_game(rng))
+    witnesses = escapes = letters_checked = 0
+    for game in games:
+        for winners in all_winner_sets(game):
+            verdict = realizable(game, winners)
+            if not verdict.realizable:
+                continue
+            witnesses += 1
+            got = verdict.witness
+            want = corpus.reference_witness(game, winners)
+            mask = ChannelMask.of(j for j in game.agents if j not in winners)
+            expected_of = [tuple(m.output[s] for m in got.machines) for s in range(got.machines[0].n_states)]
+            for m, ref in zip(got.machines, want.machines):
+                assert m.mask == mask
+                ref_index = {name: s for s, name in enumerate(ref.names)}
+                for s, name in enumerate(m.names):
+                    r = ref_index[name]
+                    assert m.output[s] == ref.output[r]
+                    escapes += name.startswith("escape")
+                    for letter in game.alphabet.letters():
+                        if any(letter[w] != expected_of[s][w] for w in winners):
+                            continue
+                        target, ref_target = m.step(s, letter), ref.step(r, letter)
+                        assert m.names[target] == ref.names[ref_target]
+                        assert m.output[target] == ref.output[ref_target]
+                        letters_checked += 1
+            assert verify(game, winners, got).is_equilibrium
+            assert oracle_verify(game, winners, got)
+    assert witnesses > 100 and escapes > 0 and letters_checked > 1000
 
 
 def test_witness_lasso_recheck_guards_against_bad_input(ev_game):
