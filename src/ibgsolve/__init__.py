@@ -21,13 +21,11 @@ from .automata import (
     Nfa,
     accepts_prefix,
     afa_accepts,
-    afa_to_dfa,
     afa_to_nfa,
     as_afa,
     as_nfa,
     determinize,
     dfa_accepts,
-    dfa_step,
     nfa_accepts,
 )
 from .game import (

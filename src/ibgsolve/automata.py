@@ -5,6 +5,9 @@ through a channel mask (bounded-channel automata key their transitions on
 the restricted letter only, which keeps tables polynomial when the mask is
 small).  Acceptance of an infinite word means acceptance of some finite
 prefix, including the empty prefix when the initial state is accepting.
+
+Every goal is read as an NFA (`as_nfa`): verification and prefix
+acceptance search over its states, and only realizability determinises it.
 """
 
 from __future__ import annotations
@@ -227,11 +230,6 @@ class Afa:
 GoalAutomaton = Union[Dfa, Nfa, Afa]
 
 
-def dfa_step(dfa: Dfa, state: int, letter: Letter) -> int:
-    """One deterministic step on a full letter, through the DFA's mask."""
-    return dfa.delta[state, project(letter, dfa.mask)]
-
-
 # ---------------------------------------------------------------------------
 # Direct finite-word evaluators.  These are the oracles the conversion tests
 # compare against, so they stay independent of determinize / afa_to_nfa.
@@ -273,57 +271,31 @@ def afa_accepts(afa: Afa, word: Sequence[Letter]) -> bool:
 # Prefix acceptance on lassos.
 
 
-def _config_start(goal: GoalAutomaton):
-    if isinstance(goal, Dfa):
-        return goal.initial
-    if isinstance(goal, Nfa):
-        return frozenset((goal.initial,))
-    return frozenset((frozenset((goal.initial,)),))
-
-
-def _config_step(goal: GoalAutomaton, config, letter: Letter):
-    rl = project(letter, goal.mask)
-    if isinstance(goal, Dfa):
-        return goal.delta[config, rl]
-    if isinstance(goal, Nfa):
-        return goal.step_set(config, rl)
-    nxt = set()
-    for obligations in config:
-        for model in minimal_models([goal.delta[q, rl] for q in sorted(obligations)]):
-            nxt.add(model)
-    return frozenset(nxt)
-
-
-def _config_accepting(goal: GoalAutomaton, config) -> bool:
-    if isinstance(goal, Dfa):
-        return config in goal.accepting
-    if isinstance(goal, Nfa):
-        return bool(config & goal.accepting)
-    return any(obligations <= goal.accepting for obligations in config)
-
-
 def accepts_prefix(goal: GoalAutomaton, word: UltimatelyPeriodicWord) -> bool:
     """Does the goal accept some finite prefix of the infinite word?
 
-    Tracks the automaton configuration paired with the canonical position in
-    the lasso and stops as soon as that pair repeats without acceptance.
-    The length-0 prefix counts, so an accepting initial state accepts
-    every word.
+    One search over (state of `as_nfa(goal)`, canonical lasso position)
+    pairs, at most |Q| * span of them: the goal reads the letter at the
+    position, which then moves on, from the last letter back to the
+    period's start.  The length-0 prefix counts, so an accepting initial
+    state accepts every word.
     """
-    for letter in word.prefix + word.period:
-        goal.alphabet.check_letter(letter)
-    config = _config_start(goal)
-    t = 0
-    seen = set()
-    while True:
-        if _config_accepting(goal, config):
+    nfa = as_nfa(goal)
+    letters = word.prefix + word.period
+    for letter in letters:
+        nfa.alphabet.check_letter(letter)
+    rls = [project(letter, nfa.mask) for letter in letters]
+    nxt = list(range(1, len(letters))) + [len(word.prefix)]
+    seen = {(nfa.initial, 0)}
+    stack = list(seen)
+    while stack:
+        q, t = stack.pop()
+        if q in nfa.accepting:
             return True
-        key = (word.position(t), config)
-        if key in seen:
-            return False
-        seen.add(key)
-        config = _config_step(goal, config, word.at(t))
-        t += 1
+        new = {(p, nxt[t]) for p in nfa.successors.get((q, rls[t]), ())} - seen
+        seen |= new
+        stack.extend(new)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -395,26 +367,27 @@ def afa_to_nfa(afa: Afa) -> Nfa:
     return Nfa(afa.alphabet, afa.mask, names, 0, accepting, frozenset(triples))
 
 
-def afa_to_dfa(afa: Afa) -> Dfa:
-    return determinize(afa_to_nfa(afa))
-
-
-def as_nfa(dfa: Dfa) -> Nfa:
-    """Wrap a DFA as a (trivially deterministic) NFA; same language."""
-    triples = frozenset((q, rl, p) for (q, rl), p in dfa.delta.items())
-    return Nfa(dfa.alphabet, dfa.mask, dfa.names, dfa.initial, dfa.accepting, triples)
+def as_nfa(goal: GoalAutomaton) -> Nfa:
+    """The goal as an NFA with the same language, the normal form read by
+    everything but realizability: a DFA's table becomes triples, an NFA is
+    returned as is, and an AFA becomes its obligation NFA."""
+    if isinstance(goal, Nfa):
+        return goal
+    if isinstance(goal, Dfa):
+        triples = frozenset((q, rl, p) for (q, rl), p in goal.delta.items())
+        return Nfa(goal.alphabet, goal.mask, goal.names, goal.initial, goal.accepting, triples)
+    if isinstance(goal, Afa):
+        return afa_to_nfa(goal)
+    raise TypeError(f"not a goal automaton: {goal!r}")
 
 
 def as_afa(goal: Dfa | Nfa) -> Afa:
     """Wrap a DFA or NFA as an AFA with disjunction-only formulas."""
-    rls = list(goal.alphabet.restricted_letters(goal.mask))
-    delta: dict[tuple[int, Letter], BoolFormula] = {}
-    if isinstance(goal, Dfa):
-        for (q, rl), p in goal.delta.items():
-            delta[q, rl] = FAtom(p)
-    else:
-        succ = goal.successors
-        for q in range(goal.n_states):
-            for rl in rls:
-                delta[q, rl] = f_or(FAtom(p) for p in succ.get((q, rl), ()))
-    return Afa(goal.alphabet, goal.mask, goal.names, goal.initial, goal.accepting, delta)
+    nfa = as_nfa(goal)
+    succ = nfa.successors
+    delta = {
+        (q, rl): f_or(FAtom(p) for p in succ.get((q, rl), ()))
+        for q in range(nfa.n_states)
+        for rl in nfa.alphabet.restricted_letters(nfa.mask)
+    }
+    return Afa(nfa.alphabet, nfa.mask, nfa.names, nfa.initial, nfa.accepting, delta)

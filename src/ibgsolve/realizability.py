@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .alphabet import ChannelMask, Letter, ProductAlphabet, UltimatelyPeriodicWord, project
-from .automata import Afa, Dfa, GoalAutomaton, Nfa, afa_to_dfa, determinize
+from .automata import Dfa, GoalAutomaton, as_nfa, determinize
 from .game import Ibg, MooreMachine, StrategyProfile
 from .safety import Arena, SafetyInstance, SafetyResult, solve_safety
 
@@ -26,22 +26,16 @@ from .safety import Arena, SafetyInstance, SafetyResult, solve_safety
 def goal_as_dfa(goal: GoalAutomaton) -> Dfa:
     """The goal as a DFA in the one normal form realizability works on.
 
-    A goal is satisfied once some prefix is accepted, so nothing after the
-    first accepting state matters: every transition into or out of an
-    accepting state goes to one sink, which loops on every letter.  The
-    sink is the initial state if that accepts, else the lowest accepting
-    id.  States, names and the accepting set are kept; the accepting set is
-    closed under transitions, and a word has an accepted prefix iff it has
-    one under the goal.
+    A DFA goal is taken as it is; any other goal is determinised from its
+    `as_nfa` form.  A goal is satisfied once some prefix is accepted, so
+    nothing after the first accepting state matters: every transition into
+    or out of an accepting state goes to one sink, which loops on every
+    letter.  The sink is the initial state if that accepts, else the lowest
+    accepting id.  States, names and the accepting set are kept; the
+    accepting set is closed under transitions, and a word has an accepted
+    prefix iff it has one under the goal.
     """
-    if isinstance(goal, Dfa):
-        dfa = goal
-    elif isinstance(goal, Nfa):
-        dfa = determinize(goal)
-    elif isinstance(goal, Afa):
-        dfa = afa_to_dfa(goal)
-    else:
-        raise TypeError(f"not a goal automaton: {goal!r}")
+    dfa = goal if isinstance(goal, Dfa) else determinize(as_nfa(goal))
     accepting = dfa.accepting
     if not accepting:
         return dfa
@@ -143,10 +137,11 @@ class ProductBuchi:
     accepting goal states are absorbing, and a state accepts iff every
     winner's goal is in its accepting set.  Transitions that would let a
     losing agent's goal accept, or that leave some losing agent's
-    deviation-game winning region, are undefined.  `trans` is filled
-    source by source in state order, each source's letters lowest first;
-    `buchi_nonempty` relies on that order for its lowest-letter
-    tie-breaking.
+    deviation-game winning region, are undefined.  States are numbered in
+    breadth-first discovery order, each source's letters lowest first, and
+    `trans` is filled in that order.  `parent[v]` is the (source, letter)
+    that discovered v (None for the initial state); `buchi_nonempty` takes
+    its stem from it.
     """
 
     goal_dfas: tuple[Dfa, ...]
@@ -154,6 +149,7 @@ class ProductBuchi:
     initial: int | None
     trans: dict[tuple[int, Letter], int]
     accepting: frozenset[int]
+    parent: list[tuple[int, Letter] | None]
 
     @property
     def n_states(self) -> int:
@@ -175,11 +171,12 @@ def _build_product(
     for j in losers:
         d = goal_dfas[j]
         if d.initial in d.accepting or not deviation_games[j].v0_in_win0(d.initial):
-            return ProductBuchi(goal_dfas, [], None, {}, frozenset())
+            return ProductBuchi(goal_dfas, [], None, {}, frozenset(), [])
     start: ProductState = tuple(d.initial for d in goal_dfas)
     index: dict[ProductState, int] = {start: 0}
     states: list[ProductState] = [start]
     trans: dict[tuple[int, Letter], int] = {}
+    parent: list[tuple[int, Letter] | None] = [None]
 
     # Letter-indexed tables, built once per goal state the search reaches
     # instead of once per (product state, letter).  Letter x is the x-th
@@ -230,13 +227,14 @@ def _build_product(
             if target is None:
                 target = index[state] = len(states)
                 states.append(state)
+                parent.append((i, letters[x]))
             trans[i, letters[x]] = target
         i += 1
     accepting = frozenset(
         v for v, qs in enumerate(states)
         if all(qs[w] in goal_dfas[w].accepting for w in winners)
     )
-    return ProductBuchi(goal_dfas, states, 0, trans, accepting)
+    return ProductBuchi(goal_dfas, states, 0, trans, accepting, parent)
 
 
 def _tarjan_cyclic(n: int, succ: list[list[int]]) -> list[bool]:
@@ -296,8 +294,10 @@ def buchi_nonempty(ab: ProductBuchi) -> UltimatelyPeriodicWord | None:
 
     Accepting goal states are absorbing, so every state reachable from an
     accepting state is accepting; nonemptiness reduces to finding a
-    reachable accepting state that lies on a cycle.  The witness uses BFS
-    both for the stem and the cycle, breaking ties by lowest letter index.
+    reachable accepting state that lies on a cycle.  The lowest-numbered
+    one is the first a BFS finds; its `parent` path is the stem, and the
+    shortest cycle through it is found by BFS.  Both break ties by lowest
+    letter index.
     """
     if ab.initial is None:
         return None
@@ -309,29 +309,17 @@ def buchi_nonempty(ab: ProductBuchi) -> UltimatelyPeriodicWord | None:
         out[v].append((letter, w))
     succ = [sorted({w for _, w in edges}) for edges in out]
 
-    order = [ab.initial]
-    parent: dict[int, tuple[int, Letter]] = {}
-    seen = {ab.initial}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        for letter, w in out[v]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = (v, letter)
-                order.append(w)
-        i += 1
-
     cyclic = _tarjan_cyclic(n, succ)
-    target = next((v for v in order if v in ab.accepting and cyclic[v]), None)
+    target = next((v for v in range(n) if cyclic[v] and v in ab.accepting), None)
     if target is None:
         return None
 
     stem: list[Letter] = []
-    v = target
-    while v != ab.initial:
-        v, letter = parent[v]
+    step = ab.parent[target]
+    while step is not None:
+        v, letter = step
         stem.append(letter)
+        step = ab.parent[v]
     stem.reverse()
 
     # Shortest cycle through the target, again lowest letter first.

@@ -9,29 +9,19 @@ their machines and the loser emits whatever it likes may reach acceptance.
 With the profile fixed the coalition has no choices left, so this is plain
 reachability for the deviator and no game is solved.
 
-Goal kinds: DFAs and NFAs are used directly (the search is relational for
-NFAs); AFAs are converted to NFAs only, never determinized, which avoids a
-second exponential blowup.
+Goal kinds: every goal is searched as its `as_nfa` form, so the search is
+relational and never determinises.  An AFA becomes its obligation NFA
+only, which avoids a second exponential blowup.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Union
 
 from .alphabet import Letter, project
-from .automata import Afa, Dfa, GoalAutomaton, Nfa, afa_to_nfa
+from .automata import GoalAutomaton, Nfa, as_nfa
 from .game import GlobalMoore, Ibg, StrategyProfile, product_profile
-
-QueryGoal = Union[Dfa, Nfa]
-
-
-def _goal_successors(goal: QueryGoal, q: int, letter: Letter) -> tuple[int, ...]:
-    rl = project(letter, goal.mask)
-    if isinstance(goal, Dfa):
-        return (goal.delta[q, rl],)
-    return goal.successors.get((q, rl), ())
 
 
 @dataclass(frozen=True)
@@ -44,7 +34,7 @@ class Search:
     size: int
 
 
-def _search(goal: QueryGoal, g: GlobalMoore, deviator: int | None = None) -> Search:
+def _search(goal: Nfa, g: GlobalMoore, deviator: int | None = None) -> Search:
     """Breadth-first search over (goal state, profile state) pairs from the
     initial pair.  Every agent emits what its machine commits, except the
     deviator, if given, which may emit any of its symbols, lowest first.
@@ -52,6 +42,8 @@ def _search(goal: QueryGoal, g: GlobalMoore, deviator: int | None = None) -> Sea
     `size` does not depend on where acceptance lies; the returned path is
     the one to the first accepting pair found, whose predecessors are each
     found first and through the lowest letter."""
+    succ = goal.successors
+    mask = goal.mask
     start = (goal.initial, g.initial)
     parent: dict[tuple[int, int], tuple[tuple[int, int], Letter] | None] = {start: None}
     queue: deque[tuple[int, int]] = deque([start])
@@ -72,7 +64,7 @@ def _search(goal: QueryGoal, g: GlobalMoore, deviator: int | None = None) -> Sea
             letters = [committed[:deviator] + (c,) + committed[deviator + 1:] for c in own_symbols]
         for letter in letters:
             s2 = g.trans[s, letter]
-            for q2 in _goal_successors(goal, q, letter):
+            for q2 in succ.get((q, project(letter, mask)), ()):
                 if (q2, s2) not in parent:
                     parent[q2, s2] = (v, letter)
                     queue.append((q2, s2))
@@ -88,7 +80,7 @@ def _search(goal: QueryGoal, g: GlobalMoore, deviator: int | None = None) -> Sea
     return Search(tuple(path), len(parent) + expanded)
 
 
-def i_query(goal: QueryGoal, g: GlobalMoore) -> tuple[bool, tuple[Letter, ...] | None]:
+def i_query(goal: Nfa, g: GlobalMoore) -> tuple[bool, tuple[Letter, ...] | None]:
     """Does the goal accept a finite prefix of the primary trace?
 
     Passes iff an accepting goal state is reachable when every step
@@ -106,7 +98,7 @@ class Violation:
     escape: tuple[Letter, ...]
 
 
-def j_query(goal: QueryGoal, g: GlobalMoore, agent: int) -> tuple[bool, Violation | None, Search]:
+def j_query(goal: Nfa, g: GlobalMoore, agent: int) -> tuple[bool, Violation | None, Search]:
     """Passes iff the agent's goal accepts no prefix of any trace on which
     the other agents follow the profile and the agent emits what it likes.
 
@@ -148,11 +140,9 @@ class VerificationReport:
     stats: dict[str, object]
 
 
-def query_goal(goal: GoalAutomaton) -> QueryGoal:
-    """DFA and NFA goals are queried directly; AFAs via their obligation NFA."""
-    if isinstance(goal, Afa):
-        return afa_to_nfa(goal)
-    return goal
+def query_goal(goal: GoalAutomaton) -> Nfa:
+    """The goal in the form every query searches: `as_nfa(goal)`."""
+    return as_nfa(goal)
 
 
 def verify(game: Ibg, winners: frozenset[int] | set[int], profile: StrategyProfile) -> VerificationReport:

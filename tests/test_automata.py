@@ -15,16 +15,18 @@ from ibgsolve import (
     Nfa,
     accepts_prefix,
     afa_accepts,
-    afa_to_dfa,
     afa_to_nfa,
     as_afa,
     as_nfa,
     determinize,
     dfa_accepts,
-    dfa_step,
+    goal_as_dfa,
     nfa_accepts,
+    query_goal,
 )
 from ibgsolve.automata import formula_eval, minimal_models
+from ibgsolve.ltlf import compile_to_afa, parse
+from ibgsolve.oracle import _goal_satisfied_on_lasso
 
 import corpus
 
@@ -35,22 +37,28 @@ def match_dfa(alphabet):
     return corpus.first_letter_dfa(alphabet, [("a", "c"), ("b", "d")])
 
 
-def test_dfa_step_follows_table(alphabet, match_dfa):
-    assert dfa_step(match_dfa, 0, alphabet.letter(("a", "c"))) == 1
-    assert dfa_step(match_dfa, 0, alphabet.letter(("a", "d"))) == 2
+def test_dfa_accepts_follows_table(alphabet, match_dfa):
+    assert dfa_accepts(match_dfa, [alphabet.letter(("a", "c"))])
+    assert not dfa_accepts(match_dfa, [alphabet.letter(("a", "d"))])
 
 
-def test_dfa_step_accepting_sink(alphabet, match_dfa):
+def test_dfa_accepts_accepting_sink(alphabet, match_dfa):
+    ac = alphabet.letter(("a", "c"))
+    ad = alphabet.letter(("a", "d"))
     for letter in alphabet.letters():
-        assert dfa_step(match_dfa, 1, letter) == 1
+        assert dfa_accepts(match_dfa, [ac, letter])
+        assert not dfa_accepts(match_dfa, [ad, letter])
 
 
-def test_dfa_step_bounded_channel(alphabet):
+def test_dfa_accepts_bounded_channel(alphabet):
     # mask {0}: channel 1 must not matter
     mask = ChannelMask.of((0,))
     delta = {(0, (0,)): 1, (0, (1,)): 0, (1, (0,)): 1, (1, (1,)): 1}
     dfa = Dfa(alphabet, mask, ("q0", "q1"), 0, frozenset({1}), delta)
-    assert dfa_step(dfa, 0, alphabet.letter(("a", "c"))) == dfa_step(dfa, 0, alphabet.letter(("a", "d"))) == 1
+    assert dfa_accepts(dfa, [alphabet.letter(("a", "c"))])
+    assert dfa_accepts(dfa, [alphabet.letter(("a", "d"))])
+    assert not dfa_accepts(dfa, [alphabet.letter(("b", "c"))])
+    assert not dfa_accepts(dfa, [alphabet.letter(("b", "d"))])
 
 
 def test_dfa_requires_total_table(alphabet):
@@ -152,7 +160,7 @@ def test_determinize_total_and_language_equal():
 
 
 # ---------------------------------------------------------------------------
-# afa_to_nfa / afa_to_dfa
+# afa_to_nfa, and afa_to_nfa followed by determinize
 
 
 def test_minimal_models_antichain():
@@ -245,7 +253,7 @@ def test_afa_to_dfa_by_word_sampling():
     for _ in range(60):
         alpha = corpus.random_alphabet(rng)
         afa = corpus.random_afa(rng, alpha)
-        dfa = afa_to_dfa(afa)
+        dfa = determinize(afa_to_nfa(afa))
         for _ in range(15):
             w = corpus.random_word(rng, alpha)
             assert afa_accepts(afa, w) == dfa_accepts(dfa, w)
@@ -254,7 +262,7 @@ def test_afa_to_dfa_by_word_sampling():
 def test_afa_to_dfa_empty_language(alphabet):
     delta = {(0, letter): FFalse() for letter in alphabet.letters()}
     afa = Afa(alphabet, alphabet.full_mask(), ("q0",), 0, frozenset(), delta)
-    dfa = afa_to_dfa(afa)
+    dfa = determinize(afa_to_nfa(afa))
     assert dfa.n_states <= 2
     assert not dfa.accepting
 
@@ -262,5 +270,64 @@ def test_afa_to_dfa_empty_language(alphabet):
 def test_afa_to_dfa_accepts_empty_word(alphabet):
     delta = {(0, letter): FTrue() for letter in alphabet.letters()}
     afa = Afa(alphabet, alphabet.full_mask(), ("q0",), 0, frozenset({0}), delta)
-    dfa = afa_to_dfa(afa)
+    dfa = determinize(afa_to_nfa(afa))
     assert dfa.initial in dfa.accepting
+
+
+# ---------------------------------------------------------------------------
+# as_nfa: the one NFA normal form of every goal kind
+
+
+LTLF_GOALS = [
+    "F(p0=a & p1=c)",
+    "G(p0=a)",
+    "p0=a U p1=d",
+    "X p1=c",
+    "N p0=b",
+    "F(p0=b) & G(p1=c | X p0=a)",
+    "(p0=a R p1=d) | F(p1=c & X p1=d)",
+    "true",
+]
+
+
+def normal_form_goals():
+    """Random DFA, NFA and AFA goals, then LTLf-compiled AFAs."""
+    rng = random.Random(67)
+    for _ in range(150):
+        alpha = corpus.random_alphabet(rng)
+        yield corpus.random_goal(rng, alpha)
+    alpha = corpus.two_channel_alphabet()
+    for text in LTLF_GOALS:
+        yield compile_to_afa(parse(text, alpha), alpha)
+
+
+def test_as_nfa_keeps_the_language():
+    rng = random.Random(71)
+    direct = {Dfa: dfa_accepts, Nfa: nfa_accepts, Afa: afa_accepts}
+    kinds = set()
+    for goal in normal_form_goals():
+        nfa = as_nfa(goal)
+        assert isinstance(nfa, Nfa)
+        kinds.add(type(goal))
+        for _ in range(12):
+            w = corpus.random_word(rng, goal.alphabet)
+            assert nfa_accepts(nfa, w) == direct[type(goal)](goal, w)
+    assert kinds == {Dfa, Nfa, Afa}
+
+
+def test_accepts_prefix_matches_oracle():
+    rng = random.Random(73)
+    with_prefix = 0
+    for goal in normal_form_goals():
+        for _ in range(10):
+            lasso = corpus.random_lasso(rng, goal.alphabet)
+            with_prefix += bool(lasso.prefix)
+            expected = _goal_satisfied_on_lasso(goal, lasso, 10**6)
+            assert accepts_prefix(goal, lasso) == expected
+    assert with_prefix > 500
+
+
+@pytest.mark.parametrize("convert", [as_nfa, query_goal, goal_as_dfa])
+def test_normal_forms_reject_non_goals(alphabet, convert):
+    with pytest.raises(TypeError, match="not a goal automaton"):
+        convert(alphabet)

@@ -35,14 +35,14 @@ def const_ac(ev_game):
 
 def test_i_query_pass_with_shortest_path(ev_game, const_ac):
     g = product_profile(const_ac)
-    passed, path = i_query(ev_game.goals[0], g)
+    passed, path = i_query(query_goal(ev_game.goals[0]), g)
     assert passed
     assert len(path) == 1
 
 
 def test_i_query_fail(ev_game, const_ac):
     g = product_profile(const_ac)
-    passed, path = i_query(ev_game.goals[1], g)
+    passed, path = i_query(query_goal(ev_game.goals[1]), g)
     assert not passed
     assert path is None
 
@@ -52,7 +52,7 @@ def test_i_query_accepting_initial_state(ev_game, const_ac):
     eager = Dfa(goal.alphabet, goal.mask, goal.names, goal.initial,
                 goal.accepting | {goal.initial}, goal.delta)
     g = product_profile(const_ac)
-    passed, path = i_query(eager, g)
+    passed, path = i_query(query_goal(eager), g)
     assert passed
     assert path == ()
 
@@ -88,7 +88,7 @@ def test_profile_deviation_game_no_accepting_states(ev_game, mp_game):
             for agent, goal in enumerate(game.goals):
                 hollow = Dfa(goal.alphabet, goal.mask, goal.names, goal.initial,
                              frozenset(), goal.delta)
-                passed, violation, search = j_query(hollow, g, agent)
+                passed, violation, search = j_query(query_goal(hollow), g, agent)
                 assert passed
                 assert violation is None
                 assert search.path is None
@@ -104,7 +104,7 @@ def test_profile_deviation_game_mp_initial_breach(mp_game):
         committed = g.gamma[g.initial]
         satisfied = 0 if picks in (("a", "c"), ("b", "d")) else 1
         deviator = 1 - satisfied
-        passed, violation, _ = j_query(mp_game.goals[deviator], g, deviator)
+        passed, violation, _ = j_query(query_goal(mp_game.goals[deviator]), g, deviator)
         assert not passed
         assert violation.kind == "deviant-trace"
         assert violation.prefix == ()
@@ -119,7 +119,7 @@ def test_profile_deviation_game_ev_initial_safe(ev_game):
     # letter while the other agent's constant symbol rules it out.
     for picks, agent in ((("a", "c"), 1), (("a", "d"), 0), (("a", "d"), 1), (("b", "d"), 0)):
         g = product_profile(corpus.constant_profile(ev_game, picks))
-        passed, violation, search = j_query(ev_game.goals[agent], g, agent)
+        passed, violation, search = j_query(query_goal(ev_game.goals[agent]), g, agent)
         assert passed
         assert violation is None
         assert search.path is None
@@ -130,7 +130,7 @@ def test_profile_deviation_game_accepting_states_lose(ev_game):
     # constant (a,c) agent 0's
     for picks, agent in ((("b", "c"), 1), (("a", "c"), 0)):
         g = product_profile(corpus.constant_profile(ev_game, picks))
-        passed, violation, _ = j_query(ev_game.goals[agent], g, agent)
+        passed, violation, _ = j_query(query_goal(ev_game.goals[agent]), g, agent)
         assert not passed
         assert violation.kind == "primary-trace"
         assert len(violation.prefix) == 1
@@ -140,7 +140,7 @@ def test_profile_deviation_game_accepting_states_lose(ev_game):
 def test_j_query_mp_deviant_violation(mp_game):
     profile = corpus.constant_profile(mp_game, ("a", "c"))
     g = product_profile(profile)
-    passed, violation, _ = j_query(mp_game.goals[1], g, 1)
+    passed, violation, _ = j_query(query_goal(mp_game.goals[1]), g, 1)
     assert not passed
     assert violation.kind == "deviant-trace"
     assert violation.prefix == ()
@@ -149,7 +149,7 @@ def test_j_query_mp_deviant_violation(mp_game):
 
 def test_j_query_ev_passes(ev_game, const_ac):
     g = product_profile(const_ac)
-    passed, violation, _ = j_query(ev_game.goals[1], g, 1)
+    passed, violation, _ = j_query(query_goal(ev_game.goals[1]), g, 1)
     assert passed
     assert violation is None
 
@@ -158,7 +158,7 @@ def test_j_query_empty_language_always_passes(ev_game, const_ac):
     goal = ev_game.goals[1]
     hollow = Dfa(goal.alphabet, goal.mask, goal.names, goal.initial, frozenset(), goal.delta)
     g = product_profile(const_ac)
-    passed, _, _ = j_query(hollow, g, 1)
+    passed, _, _ = j_query(query_goal(hollow), g, 1)
     assert passed
 
 
@@ -166,7 +166,7 @@ def test_j_query_primary_trace_violation(ev_game):
     # constant (b,c) satisfies agent 1's goal on the primary trace itself
     profile = corpus.constant_profile(ev_game, ("b", "c"))
     g = product_profile(profile)
-    passed, violation, _ = j_query(ev_game.goals[1], g, 1)
+    passed, violation, _ = j_query(query_goal(ev_game.goals[1]), g, 1)
     assert not passed
     assert violation.kind == "primary-trace"
     assert len(violation.prefix) == 1
