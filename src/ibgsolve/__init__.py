@@ -29,12 +29,9 @@ from .automata import (
     nfa_accepts,
 )
 from .game import (
-    GlobalMoore,
     Ibg,
     MooreMachine,
     StrategyProfile,
-    primary_trace,
-    product_profile,
     winning_set,
 )
 from .oracle import (

@@ -96,7 +96,7 @@ def _cmd_realizable(args: argparse.Namespace) -> int:
     if args.dump_arenas:
         with open(args.dump_arenas, "w") as fh:
             for j, dev in sorted(verdict.deviation_games.items()):
-                dump_arena(dev.arena, fh, header=f"deviation game, agent {j}")
+                dump_arena(dev.arena, fh, header=f"deviation game, agent {j}", labels=dev.labels())
     _emit(record, started)
     return 0 if verdict.realizable else 1
 

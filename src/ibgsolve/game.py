@@ -4,14 +4,14 @@ Each agent owns one channel of the product alphabet and repeatedly emits a
 symbol; the joint emission is the next letter of the play.  Strategies are
 Moore machines (output depends on the current state only), optionally
 bounded-channel: a machine with a mask reads only those channels of each
-observed letter.
+observed letter.  Verification steps a profile's machines together, one
+joint state at a time, from the states its searches reach; no product of
+the machines is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import repeat
 
 from .alphabet import ChannelMask, Letter, ProductAlphabet, UltimatelyPeriodicWord, project
 from .automata import GoalAutomaton, accepts_prefix
@@ -82,6 +82,8 @@ class MooreMachine:
         return len(self.names)
 
     def step(self, state: int, letter: Letter) -> int:
+        """The successor on a full letter, read through the mask.  Verification
+        steps every machine of a profile with it as its searches go."""
         return self.trans[state, project(letter, self.mask)]
 
 
@@ -104,90 +106,6 @@ class StrategyProfile:
     @property
     def alphabet(self) -> ProductAlphabet:
         return self.machines[0].alphabet
-
-
-@dataclass(frozen=True)
-class GlobalMoore:
-    """Reachable product of a profile's machines: one transducer for all agents.
-
-    gamma maps each product state to the full letter the coalition emits
-    there.  trans is total over reachable states and all input letters, and
-    its entries are inserted state by state in discovery order, each state's
-    in lexicographic letter order.  Verification indexes it by (state,
-    letter); the benchmark's tracer reads len(trans).
-    """
-
-    alphabet: ProductAlphabet
-    components: tuple[tuple[int, ...], ...]
-    initial: int
-    gamma: tuple[Letter, ...]
-    trans: dict[tuple[int, Letter], int]
-
-    @property
-    def n_states(self) -> int:
-        return len(self.components)
-
-
-def product_profile(profile: StrategyProfile) -> GlobalMoore:
-    """Component-wise product, materializing only states reachable from the
-    joint initial state under arbitrary input letters."""
-    machines = profile.machines
-    alphabet = profile.alphabet
-    start = tuple(m.initial for m in machines)
-    index = {start: 0}
-    components = [start]
-    gamma: list[Letter] = []
-    trans: dict[tuple[int, Letter], int] = {}
-
-    # Letter-indexed tables, built once per build instead of once per
-    # (joint state, letter).  Letter x is the x-th letter in lexicographic
-    # order.  projections[mask][x] is letter x restricted to the mask;
-    # row_of(j, s) is machine j's successor row: entry x is its successor
-    # from state s on letter x.
-    letters = list(alphabet.letters())
-    projections = {
-        mask: [project(letter, mask) for letter in letters]
-        for mask in {m.mask for m in machines}
-    }
-
-    @cache
-    def row_of(j: int, s: int) -> list[int]:
-        m = machines[j]
-        return [m.trans[s, rl] for rl in projections[m.mask]]
-
-    i = 0
-    while i < len(components):
-        state = components[i]
-        gamma.append(tuple(m.output[s] for m, s in zip(machines, state)))
-        successors = list(zip(*[row_of(j, s) for j, s in enumerate(state)]))
-        # New joint states are numbered in the order of the first letter
-        # reaching them, as a letter-by-letter walk would number them.
-        for nxt in dict.fromkeys(successors):
-            if nxt not in index:
-                index[nxt] = len(components)
-                components.append(nxt)
-        trans.update(zip(zip(repeat(i), letters), map(index.__getitem__, successors)))
-        i += 1
-    return GlobalMoore(alphabet, tuple(components), 0, tuple(gamma), trans)
-
-
-def primary_trace(g: GlobalMoore) -> UltimatelyPeriodicWord:
-    """The unique word produced when every agent follows the profile.
-
-    Feed the machine its own output until a product state repeats; the total
-    transition function guarantees the trace is infinite, and the pigeonhole
-    bound |prefix| + |period| <= |S| holds.
-    """
-    state = g.initial
-    seen: dict[int, int] = {}
-    letters: list[Letter] = []
-    while state not in seen:
-        seen[state] = len(letters)
-        letter = g.gamma[state]
-        letters.append(letter)
-        state = g.trans[state, letter]
-    start = seen[state]
-    return UltimatelyPeriodicWord(tuple(letters[:start]), tuple(letters[start:]))
 
 
 def winning_set(trace: UltimatelyPeriodicWord, game: Ibg) -> frozenset[int]:

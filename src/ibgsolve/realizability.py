@@ -63,7 +63,6 @@ class DeviationGame:
     goal: Dfa
     keys: ChannelMask
     arena: Arena
-    v0_index: dict[int, int]
     v1_index: dict[tuple[int, Letter], int]
     v1_vertices: list[tuple[int, Letter]]
     result: SafetyResult
@@ -73,7 +72,7 @@ class DeviationGame:
         return self.arena.n
 
     def v0_in_win0(self, q: int) -> bool:
-        return self.v0_index[q] in self.result.win0
+        return q in self.result.win0
 
     def v1_in_win0(self, q: int, letter: Letter) -> bool:
         return self.v1_index[q, project(letter, self.keys)] in self.result.win0
@@ -81,12 +80,20 @@ class DeviationGame:
     def strategy_letter(self, q: int) -> Letter:
         """Expand the positional choice at a winning coalition vertex into a
         concrete full letter (unconstrained channels take symbol 0)."""
-        chosen = self.result.strategy0[self.v0_index[q]]
-        _, rl = self.v1_vertices[chosen - len(self.v0_index)]
+        chosen = self.result.strategy0[q]
+        _, rl = self.v1_vertices[chosen - self.goal.n_states]
         letter = [0] * self.goal.alphabet.k
         for pos, channel in enumerate(self.keys.agents):
             letter[channel] = rl[pos]
         return tuple(letter)
+
+    def labels(self) -> list[str]:
+        """One label per arena vertex, for `safety.dump_arena`."""
+        names = self.goal.names
+        alphabet = self.goal.alphabet
+        return [f"q={name}" for name in names] + [
+            f"q={names[q]} committed={alphabet.format(rl, self.keys)}" for q, rl in self.v1_vertices
+        ]
 
 
 def build_deviation_game(game: Ibg, agent: int, goal_dfa: Dfa) -> DeviationGame:
@@ -100,25 +107,22 @@ def build_deviation_game(game: Ibg, agent: int, goal_dfa: Dfa) -> DeviationGame:
     agent_pos = key_pos[agent]
     agent_symbols = range(len(alphabet.channels[agent]))
 
-    v0_index = {q: q for q in range(n_goal)}
     v1_vertices = [(q, rl) for q in range(n_goal) if q not in goal_dfa.accepting for rl in key_letters]
     v1_index = {vertex: n_goal + i for i, vertex in enumerate(v1_vertices)}
 
     n = n_goal + len(v1_vertices)
     owner = [0] * n_goal + [1] * len(v1_vertices)
     succ: list[list[int]] = [[] for _ in range(n)]
-    labels = [f"q={goal_dfa.names[q]}" for q in range(n_goal)]
     for (q, rl), vid in v1_index.items():
-        labels.append(f"q={goal_dfa.names[q]} committed={alphabet.format(rl, keys)}")
         succ[q].append(vid)
         for c in agent_symbols:
             deviated = rl[:agent_pos] + (c,) + rl[agent_pos + 1:]
             target = goal_dfa.delta[q, tuple(deviated[p] for p in goal_positions)]
             succ[vid].append(target)
-    arena = Arena(tuple(owner), tuple(tuple(s) for s in succ), tuple(labels))
+    arena = Arena(tuple(owner), tuple(tuple(s) for s in succ))
     safe = frozenset(v for v in range(n) if not (v < n_goal and v in goal_dfa.accepting))
     result = solve_safety(SafetyInstance(arena, safe))
-    return DeviationGame(agent, goal_dfa, keys, arena, v0_index, v1_index, v1_vertices, result)
+    return DeviationGame(agent, goal_dfa, keys, arena, v1_index, v1_vertices, result)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from typing import IO
 class Arena:
     owner: tuple[int, ...]
     succ: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if len(self.succ) != len(self.owner):
@@ -100,12 +99,13 @@ def solve_safety(instance: SafetyInstance) -> SafetyResult:
     return SafetyResult(win0, win1, strategy0)
 
 
-def dump_arena(arena: Arena, out: IO[str], header: str = "") -> None:
-    """Line-based debug dump: one vertex line per vertex, one edge per line."""
+def dump_arena(arena: Arena, out: IO[str], header: str = "", labels: list[str] | None = None) -> None:
+    """Line-based debug dump: one vertex line per vertex, labelled from
+    `labels` if given, then one edge per line."""
     if header:
         out.write(f"# {header}\n")
     for v in range(arena.n):
-        label = arena.labels[v] if arena.labels else ""
+        label = labels[v] if labels else ""
         out.write(f"vertex {v} owner={arena.owner[v]} {label}\n".rstrip() + "\n")
     for v in range(arena.n):
         for w in arena.succ[v]:

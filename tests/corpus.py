@@ -7,6 +7,7 @@ the acceptance tests pin their seeds.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 from ibgsolve import (
     Afa,
@@ -201,6 +202,50 @@ def random_profile(rng: random.Random, game: Ibg, max_states: int = 3) -> Strate
     return StrategyProfile(
         tuple(random_machine(rng, game, i, max_states) for i in game.agents)
     )
+
+
+def toggle_machine(alphabet: ProductAlphabet, owner: int) -> MooreMachine:
+    """Outputs symbol 0, symbol 1, symbol 0, ... regardless of input."""
+    mask = ChannelMask.of(())
+    return MooreMachine(
+        owner, alphabet, mask, ("even", "odd"), 0, (0, 1), {(0, ()): 1, (1, ()): 0}
+    )
+
+
+def echo_machine(alphabet: ProductAlphabet, owner: int, watched: int) -> MooreMachine:
+    """Copies the watched agent's previous pick onto its own channel."""
+    mask = ChannelMask.of((watched,))
+    n = len(alphabet.channels[watched])
+    assert n == len(alphabet.channels[owner])
+    names = tuple(f"saw{i}" for i in range(n))
+    trans = {(s, (t,)): t for s in range(n) for t in range(n)}
+    return MooreMachine(owner, alphabet, mask, names, 0, tuple(range(n)), trans)
+
+
+def letter_at_a_time_product(profile: StrategyProfile) -> SimpleNamespace:
+    """Reference product of a profile's machines: every machine steps on
+    every letter of every reachable joint state.  Joint states are numbered
+    in discovery order from 0, the initial one; gamma[s] is the letter the
+    profile commits in state s and trans[s, letter] its successor."""
+    machines = profile.machines
+    alphabet = profile.alphabet
+    start = tuple(m.initial for m in machines)
+    index = {start: 0}
+    components = [start]
+    gamma = []
+    trans = {}
+    i = 0
+    while i < len(components):
+        state = components[i]
+        gamma.append(tuple(m.output[s] for m, s in zip(machines, state)))
+        for letter in alphabet.letters():
+            nxt = tuple(m.step(s, letter) for m, s in zip(machines, state))
+            if nxt not in index:
+                index[nxt] = len(components)
+                components.append(nxt)
+            trans[i, letter] = index[nxt]
+        i += 1
+    return SimpleNamespace(alphabet=alphabet, initial=0, gamma=tuple(gamma), trans=trans)
 
 
 def random_word(rng: random.Random, alphabet: ProductAlphabet, max_len: int = 8) -> list:

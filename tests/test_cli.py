@@ -142,16 +142,71 @@ def test_realizable_stats_include_goal_sizes(capsys, games_dir):
     assert stats["product_states"] > 0
 
 
+EV_W0_ARENAS = (
+    "# deviation game, agent 1\n"
+    "vertex 0 owner=0 q=watch\n"
+    "vertex 1 owner=0 q=hit\n"
+    "vertex 2 owner=1 q=watch committed=(a,c)\n"
+    "vertex 3 owner=1 q=watch committed=(a,d)\n"
+    "vertex 4 owner=1 q=watch committed=(b,c)\n"
+    "vertex 5 owner=1 q=watch committed=(b,d)\n"
+    "edge 0 2\n"
+    "edge 0 3\n"
+    "edge 0 4\n"
+    "edge 0 5\n"
+    "edge 2 0\n"
+    "edge 3 0\n"
+    "edge 4 0\n"
+    "edge 4 1\n"
+    "edge 5 0\n"
+    "edge 5 1\n"
+)
+
+MP_W0_ARENAS = (
+    "# deviation game, agent 1\n"
+    "vertex 0 owner=0 q=start\n"
+    "vertex 1 owner=0 q=win\n"
+    "vertex 2 owner=0 q=lose\n"
+    "vertex 3 owner=1 q=start committed=(a,c)\n"
+    "vertex 4 owner=1 q=start committed=(a,d)\n"
+    "vertex 5 owner=1 q=start committed=(b,c)\n"
+    "vertex 6 owner=1 q=start committed=(b,d)\n"
+    "vertex 7 owner=1 q=lose committed=(a,c)\n"
+    "vertex 8 owner=1 q=lose committed=(a,d)\n"
+    "vertex 9 owner=1 q=lose committed=(b,c)\n"
+    "vertex 10 owner=1 q=lose committed=(b,d)\n"
+    "edge 0 3\n"
+    "edge 0 4\n"
+    "edge 0 5\n"
+    "edge 0 6\n"
+    "edge 2 7\n"
+    "edge 2 8\n"
+    "edge 2 9\n"
+    "edge 2 10\n"
+    "edge 3 1\n"
+    "edge 3 2\n"
+    "edge 4 1\n"
+    "edge 4 2\n"
+    "edge 5 1\n"
+    "edge 5 2\n"
+    "edge 6 1\n"
+    "edge 6 2\n"
+    "edge 7 2\n"
+    "edge 8 2\n"
+    "edge 9 2\n"
+    "edge 10 2\n"
+)
+
+
 def test_realizable_dump_arenas(capsys, games_dir, tmp_path):
     dump = tmp_path / "arenas.txt"
-    code, _, _ = run_cli(
-        capsys, "realizable", str(games_dir / "ev.json"),
-        "--winners", "0", "--dump-arenas", str(dump),
-    )
-    assert code == 0
-    text = dump.read_text()
-    assert "# deviation game, agent 1" in text
-    assert re.search(r"^edge \d+ \d+$", text, re.M)
+    for name, expected_code, expected in (("ev", 0, EV_W0_ARENAS), ("mp", 1, MP_W0_ARENAS)):
+        code, _, _ = run_cli(
+            capsys, "realizable", str(games_dir / f"{name}.json"),
+            "--winners", "0", "--dump-arenas", str(dump),
+        )
+        assert code == expected_code
+        assert dump.read_text() == expected
 
 
 def test_verify_ev_constant(capsys, games_dir):

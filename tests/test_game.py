@@ -3,42 +3,23 @@ import random
 import pytest
 
 from ibgsolve import (
-    ChannelMask,
-    GlobalMoore,
     Ibg,
     Lasso,
-    MooreMachine,
     StrategyProfile,
-    primary_trace,
-    product_profile,
     winning_set,
 )
+from ibgsolve.oracle import _simulated_primary_lasso
 
 import corpus
 
 
-def toggle_machine(alphabet, owner):
-    # outputs symbol 0, symbol 1, symbol 0, ... regardless of input
-    mask = ChannelMask.of(())
-    return MooreMachine(
-        owner, alphabet, mask, ("even", "odd"), 0, (0, 1), {(0, ()): 1, (1, ()): 0}
-    )
-
-
-def echo_machine(alphabet, owner, watched):
-    # copies the watched agent's previous pick onto its own channel
-    mask = ChannelMask.of((watched,))
-    n = len(alphabet.channels[watched])
-    assert n == len(alphabet.channels[owner])
-    names = tuple(f"saw{i}" for i in range(n))
-    trans = {(s, (t,)): t for s in range(n) for t in range(n)}
-    return MooreMachine(owner, alphabet, mask, names, 0, tuple(range(n)), trans)
+# The product of a profile's machines is built only on the test side, as the
+# reference of verification's searches; these pin it on hand-checked cases.
 
 
 def test_product_of_constant_machines(alphabet, ev_game):
-    profile = corpus.constant_profile(ev_game, ("a", "c"))
-    g = product_profile(profile)
-    assert g.n_states == 1
+    g = corpus.letter_at_a_time_product(corpus.constant_profile(ev_game, ("a", "c")))
+    assert len(g.gamma) == 1
     assert g.gamma[0] == alphabet.letter(("a", "c"))
 
 
@@ -47,82 +28,36 @@ def test_product_size_bound(alphabet, ev_game):
     for _ in range(30):
         m0 = corpus.random_machine(rng, ev_game, 0, max_states=2)
         m1 = corpus.random_machine(rng, ev_game, 1, max_states=3)
-        g = product_profile(StrategyProfile((m0, m1)))
-        assert g.n_states <= m0.n_states * m1.n_states
+        g = corpus.letter_at_a_time_product(StrategyProfile((m0, m1)))
+        assert len(g.gamma) <= m0.n_states * m1.n_states
 
 
 def test_product_echo_machine(alphabet, ev_game):
     profile = StrategyProfile(
-        (corpus.constant_profile(ev_game, ("a", "c")).machines[0], echo_machine(alphabet, 1, 0))
+        (corpus.constant_profile(ev_game, ("a", "c")).machines[0], corpus.echo_machine(alphabet, 1, 0))
     )
-    g = product_profile(profile)
-    assert g.n_states == 2
-    outputs = {g.gamma[s] for s in range(2)}
-    assert outputs == {alphabet.letter(("a", "c")), alphabet.letter(("a", "d"))}
+    g = corpus.letter_at_a_time_product(profile)
+    assert len(g.gamma) == 2
+    assert set(g.gamma) == {alphabet.letter(("a", "c")), alphabet.letter(("a", "d"))}
     # the echo output tracks the observed channel-0 pick
     for s in range(2):
         for letter in alphabet.letters():
-            target = g.trans[s, letter]
-            assert g.gamma[target][1] == letter[0]
+            assert g.gamma[g.trans[s, letter]][1] == letter[0]
 
 
-def letter_at_a_time_product(profile):
-    # Reference: steps every machine on every letter of every joint state.
-    machines = profile.machines
-    alphabet = profile.alphabet
-    start = tuple(m.initial for m in machines)
-    index = {start: 0}
-    components = [start]
-    gamma = []
-    trans = {}
-    i = 0
-    while i < len(components):
-        state = components[i]
-        gamma.append(tuple(m.output[s] for m, s in zip(machines, state)))
-        for letter in alphabet.letters():
-            nxt = tuple(m.step(s, letter) for m, s in zip(machines, state))
-            if nxt not in index:
-                index[nxt] = len(components)
-                components.append(nxt)
-            trans[i, letter] = index[nxt]
-        i += 1
-    return GlobalMoore(alphabet, tuple(components), 0, tuple(gamma), trans)
-
-
-def test_product_profile_matches_letter_at_a_time_reference(ev_game, mp_game):
-    rng = random.Random(59)
-    profiles = []
-    for _ in range(320):
-        game = corpus.random_game(rng, max_k=rng.choice((2, 3, 4)))
-        profiles.append(corpus.random_profile(rng, game, max_states=rng.choice((2, 3, 4))))
-    for game in (ev_game, mp_game):
-        for picks in (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")):
-            profiles.append(corpus.constant_profile(game, picks))
-    witness = corpus.reference_witness(ev_game, {0, 1})
-    assert witness is not None
-    assert all(m.mask == ChannelMask.full(2) and m.n_states > 1 for m in witness.machines)
-    profiles.append(witness)
-    for profile in profiles:
-        got = product_profile(profile)
-        want = letter_at_a_time_product(profile)
-        assert got.alphabet == want.alphabet
-        assert got.initial == want.initial
-        assert got.components == want.components
-        assert got.gamma == want.gamma
-        assert list(got.trans.items()) == list(want.trans.items())
+# The primary trace, as the oracle simulates it machine by machine.
 
 
 def test_primary_trace_constant(alphabet, ev_game):
-    g = product_profile(corpus.constant_profile(ev_game, ("a", "c")))
-    trace = primary_trace(g)
+    trace = _simulated_primary_lasso(corpus.constant_profile(ev_game, ("a", "c")), budget=10)
     assert trace.prefix == ()
     assert trace.period == (alphabet.letter(("a", "c")),)
 
 
 def test_primary_trace_toggler(alphabet, ev_game):
     const_c = corpus.constant_profile(ev_game, ("a", "c")).machines[1]
-    profile = StrategyProfile((toggle_machine(alphabet, 0), const_c))
-    trace = primary_trace(product_profile(profile))
+    profile = StrategyProfile((corpus.toggle_machine(alphabet, 0), const_c))
+    trace = _simulated_primary_lasso(profile, budget=10)
     assert trace.prefix == ()
     assert trace.period == (alphabet.letter(("a", "c")), alphabet.letter(("b", "c")))
 
@@ -131,9 +66,9 @@ def test_primary_trace_pigeonhole_bound():
     rng = random.Random(29)
     for _ in range(60):
         game = corpus.random_game(rng)
-        g = product_profile(corpus.random_profile(rng, game))
-        trace = primary_trace(g)
-        assert trace.span <= g.n_states
+        profile = corpus.random_profile(rng, game)
+        trace = _simulated_primary_lasso(profile, budget=10_000)
+        assert trace.span <= len(corpus.letter_at_a_time_product(profile).gamma)
 
 
 def test_primary_trace_matches_step_by_step_simulation():
@@ -141,7 +76,7 @@ def test_primary_trace_matches_step_by_step_simulation():
     for _ in range(60):
         game = corpus.random_game(rng)
         profile = corpus.random_profile(rng, game)
-        trace = primary_trace(product_profile(profile))
+        trace = _simulated_primary_lasso(profile, budget=10_000)
         states = [m.initial for m in profile.machines]
         for t in range(3 * trace.span):
             letter = tuple(m.output[s] for m, s in zip(profile.machines, states))

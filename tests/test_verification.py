@@ -1,3 +1,4 @@
+import json
 import random
 from collections import deque
 
@@ -9,17 +10,19 @@ from ibgsolve import (
     Ibg,
     SafetyInstance,
     StrategyProfile,
+    accepts_prefix,
     as_afa,
     as_nfa,
     i_query,
     j_query,
     oracle_verify,
-    product_profile,
     query_goal,
     solve_safety,
     verify,
 )
 from ibgsolve.alphabet import project
+from ibgsolve.formats import load_profile
+from ibgsolve.oracle import _simulated_primary_lasso
 
 import corpus
 
@@ -34,15 +37,13 @@ def const_ac(ev_game):
 
 
 def test_i_query_pass_with_shortest_path(ev_game, const_ac):
-    g = product_profile(const_ac)
-    passed, path = i_query(query_goal(ev_game.goals[0]), g)
+    passed, path, _ = i_query(query_goal(ev_game.goals[0]), const_ac)
     assert passed
     assert len(path) == 1
 
 
 def test_i_query_fail(ev_game, const_ac):
-    g = product_profile(const_ac)
-    passed, path = i_query(query_goal(ev_game.goals[1]), g)
+    passed, path, _ = i_query(query_goal(ev_game.goals[1]), const_ac)
     assert not passed
     assert path is None
 
@@ -51,23 +52,19 @@ def test_i_query_accepting_initial_state(ev_game, const_ac):
     goal = ev_game.goals[0]
     eager = Dfa(goal.alphabet, goal.mask, goal.names, goal.initial,
                 goal.accepting | {goal.initial}, goal.delta)
-    g = product_profile(const_ac)
-    passed, path = i_query(query_goal(eager), g)
+    passed, path, _ = i_query(query_goal(eager), const_ac)
     assert passed
     assert path == ()
 
 
 def test_i_query_matches_prefix_acceptance():
-    from ibgsolve import accepts_prefix, primary_trace
-
     rng = random.Random(211)
     for _ in range(150):
         game = corpus.random_game(rng)
         profile = corpus.random_profile(rng, game)
-        g = product_profile(profile)
-        trace = primary_trace(g)
+        trace = _simulated_primary_lasso(profile, budget=10_000)
         for goal in game.goals:
-            passed, _ = i_query(query_goal(goal), g)
+            passed, _, _ = i_query(query_goal(goal), profile)
             assert passed == accepts_prefix(goal, trace)
 
 
@@ -84,11 +81,11 @@ def test_profile_deviation_game_no_accepting_states(ev_game, mp_game):
     # under every constant profile.
     for game in (ev_game, mp_game):
         for picks in (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")):
-            g = product_profile(corpus.constant_profile(game, picks))
+            profile = corpus.constant_profile(game, picks)
             for agent, goal in enumerate(game.goals):
                 hollow = Dfa(goal.alphabet, goal.mask, goal.names, goal.initial,
                              frozenset(), goal.delta)
-                passed, violation, search = j_query(query_goal(hollow), g, agent)
+                passed, violation, search = j_query(query_goal(hollow), profile, agent)
                 assert passed
                 assert violation is None
                 assert search.path is None
@@ -100,11 +97,10 @@ def test_profile_deviation_game_mp_initial_breach(mp_game):
     # own symbol.
     for picks in (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")):
         profile = corpus.constant_profile(mp_game, picks)
-        g = product_profile(profile)
-        committed = g.gamma[g.initial]
+        committed = tuple(m.output[m.initial] for m in profile.machines)
         satisfied = 0 if picks in (("a", "c"), ("b", "d")) else 1
         deviator = 1 - satisfied
-        passed, violation, _ = j_query(query_goal(mp_game.goals[deviator]), g, deviator)
+        passed, violation, _ = j_query(query_goal(mp_game.goals[deviator]), profile, deviator)
         assert not passed
         assert violation.kind == "deviant-trace"
         assert violation.prefix == ()
@@ -118,8 +114,8 @@ def test_profile_deviation_game_ev_initial_safe(ev_game):
     # Agent 1 needs (b,c) and agent 0 needs (a,c); neither can produce its
     # letter while the other agent's constant symbol rules it out.
     for picks, agent in ((("a", "c"), 1), (("a", "d"), 0), (("a", "d"), 1), (("b", "d"), 0)):
-        g = product_profile(corpus.constant_profile(ev_game, picks))
-        passed, violation, search = j_query(query_goal(ev_game.goals[agent]), g, agent)
+        profile = corpus.constant_profile(ev_game, picks)
+        passed, violation, search = j_query(query_goal(ev_game.goals[agent]), profile, agent)
         assert passed
         assert violation is None
         assert search.path is None
@@ -129,8 +125,8 @@ def test_profile_deviation_game_accepting_states_lose(ev_game):
     # constant (b,c) satisfies agent 1's goal on the primary trace itself,
     # constant (a,c) agent 0's
     for picks, agent in ((("b", "c"), 1), (("a", "c"), 0)):
-        g = product_profile(corpus.constant_profile(ev_game, picks))
-        passed, violation, _ = j_query(query_goal(ev_game.goals[agent]), g, agent)
+        profile = corpus.constant_profile(ev_game, picks)
+        passed, violation, _ = j_query(query_goal(ev_game.goals[agent]), profile, agent)
         assert not passed
         assert violation.kind == "primary-trace"
         assert len(violation.prefix) == 1
@@ -139,8 +135,7 @@ def test_profile_deviation_game_accepting_states_lose(ev_game):
 
 def test_j_query_mp_deviant_violation(mp_game):
     profile = corpus.constant_profile(mp_game, ("a", "c"))
-    g = product_profile(profile)
-    passed, violation, _ = j_query(query_goal(mp_game.goals[1]), g, 1)
+    passed, violation, _ = j_query(query_goal(mp_game.goals[1]), profile, 1)
     assert not passed
     assert violation.kind == "deviant-trace"
     assert violation.prefix == ()
@@ -148,8 +143,7 @@ def test_j_query_mp_deviant_violation(mp_game):
 
 
 def test_j_query_ev_passes(ev_game, const_ac):
-    g = product_profile(const_ac)
-    passed, violation, _ = j_query(query_goal(ev_game.goals[1]), g, 1)
+    passed, violation, _ = j_query(query_goal(ev_game.goals[1]), const_ac, 1)
     assert passed
     assert violation is None
 
@@ -157,16 +151,14 @@ def test_j_query_ev_passes(ev_game, const_ac):
 def test_j_query_empty_language_always_passes(ev_game, const_ac):
     goal = ev_game.goals[1]
     hollow = Dfa(goal.alphabet, goal.mask, goal.names, goal.initial, frozenset(), goal.delta)
-    g = product_profile(const_ac)
-    passed, _, _ = j_query(query_goal(hollow), g, 1)
+    passed, _, _ = j_query(query_goal(hollow), const_ac, 1)
     assert passed
 
 
 def test_j_query_primary_trace_violation(ev_game):
     # constant (b,c) satisfies agent 1's goal on the primary trace itself
     profile = corpus.constant_profile(ev_game, ("b", "c"))
-    g = product_profile(profile)
-    passed, violation, _ = j_query(query_goal(ev_game.goals[1]), g, 1)
+    passed, violation, _ = j_query(query_goal(ev_game.goals[1]), profile, 1)
     assert not passed
     assert violation.kind == "primary-trace"
     assert len(violation.prefix) == 1
@@ -174,10 +166,7 @@ def test_j_query_primary_trace_violation(ev_game):
 
 
 def _reference_successors(goal, q, letter):
-    rl = project(letter, goal.mask)
-    if isinstance(goal, Dfa):
-        return (goal.delta[q, rl],)
-    return goal.successors.get((q, rl), ())
+    return goal.successors.get((q, project(letter, goal.mask)), ())
 
 
 def _reference_primary_bfs(goal, g):
@@ -298,11 +287,12 @@ def test_j_query_matches_arena_reference():
     kinds = {"primary-trace": 0, "deviant-trace": 0, None: 0}
     for n in range(600):
         game = corpus.random_game(rng, kinds="dfa" if n % 4 == 0 else "mixed")
-        g = product_profile(corpus.random_profile(rng, game))
+        profile = corpus.random_profile(rng, game)
+        g = corpus.letter_at_a_time_product(profile)
         for agent, goal in enumerate(game.goals):
             goal = query_goal(goal)
-            assert i_query(goal, g) == reference_i_query(goal, g)
-            passed, violation, search = j_query(goal, g, agent)
+            assert i_query(goal, profile)[:2] == reference_i_query(goal, g)
+            passed, violation, search = j_query(goal, profile, agent)
             got = (passed,) + (
                 (None, None, None) if violation is None
                 else (violation.kind, violation.prefix, violation.escape)
@@ -315,8 +305,6 @@ def test_j_query_matches_arena_reference():
 def replay_escape(game, profile, agent, violation):
     """Mechanical replay: escape letters must match the machines off the
     deviating channel and drive the goal into acceptance."""
-    from ibgsolve.automata import Nfa
-
     goal = query_goal(game.goals[agent])
     machines = profile.machines
     states = [m.initial for m in machines]
@@ -324,25 +312,13 @@ def replay_escape(game, profile, agent, violation):
     for letter in violation.prefix:
         outputs = tuple(m.output[s] for m, s in zip(machines, states))
         assert letter == outputs
-        nxt = set()
-        for q in current:
-            if isinstance(goal, Nfa):
-                nxt.update(goal.successors.get((q, project(letter, goal.mask)), ()))
-            else:
-                nxt.add(goal.delta[q, project(letter, goal.mask)])
-        current = nxt
+        current = {q2 for q in current for q2 in _reference_successors(goal, q, letter)}
         states = [m.step(s, letter) for m, s in zip(machines, states)]
     accepted = bool(current & goal.accepting)
     for letter in violation.escape:
         outputs = tuple(m.output[s] for m, s in zip(machines, states))
         assert all(letter[c] == outputs[c] for c in range(game.k) if c != agent)
-        nxt = set()
-        for q in current:
-            if isinstance(goal, Nfa):
-                nxt.update(goal.successors.get((q, project(letter, goal.mask)), ()))
-            else:
-                nxt.add(goal.delta[q, project(letter, goal.mask)])
-        current = nxt
+        current = {q2 for q in current for q2 in _reference_successors(goal, q, letter)}
         states = [m.step(s, letter) for m, s in zip(machines, states)]
         if current & goal.accepting:
             accepted = True
@@ -441,3 +417,44 @@ def test_verify_kind_invariant():
         afa_game = Ibg(game.alphabet, tuple(as_afa(g) for g in game.goals))
         assert verify(nfa_game, winners, profile).is_equilibrium == base
         assert verify(afa_game, winners, profile).is_equilibrium == base
+
+
+# ---------------------------------------------------------------------------
+# profile_states: the joint machine states the searches reach
+
+
+def test_profile_states_pinned(alphabet, ev_game, mp_game, games_dir):
+    with open(games_dir / "ev_profile_ac.json") as fh:
+        const_ac = load_profile(json.load(fh), alphabet)
+    const_c = const_ac.machines[1]
+    toggler = StrategyProfile((corpus.toggle_machine(alphabet, 0), const_c))
+    for game in (ev_game, mp_game):
+        for winners in (frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})):
+            assert verify(game, winners, const_ac).stats["profile_states"] == 1
+            assert verify(game, winners, toggler).stats["profile_states"] == 2
+    # The echo machine copies agent 0's symbol, so its second state is
+    # reached only when agent 0 loses and may deviate.
+    echo = StrategyProfile((const_ac.machines[0], corpus.echo_machine(alphabet, 1, 0)))
+    assert len(corpus.letter_at_a_time_product(echo).gamma) == 2
+    assert verify(ev_game, frozenset(), echo).stats["profile_states"] == 2
+    assert verify(ev_game, frozenset({0}), echo).stats["profile_states"] == 1
+
+
+def test_profile_states_between_primary_lasso_and_product():
+    # Hollow DFA goals neither end nor block a branch, so every search
+    # follows the whole primary lasso, and with no loser nothing else.
+    rng = random.Random(257)
+    for _ in range(100):
+        game = corpus.random_game(rng, kinds="dfa")
+        hollow = Ibg(game.alphabet, tuple(
+            Dfa(g.alphabet, g.mask, g.names, g.initial, frozenset(), g.delta) for g in game.goals
+        ))
+        profile = corpus.random_profile(rng, game)
+        winners = frozenset(i for i in game.agents if rng.random() < 0.5)
+        span = _simulated_primary_lasso(profile, budget=10_000).span
+        product = len(corpus.letter_at_a_time_product(profile).gamma)
+        reached = verify(hollow, winners, profile).stats["profile_states"]
+        assert span <= reached <= product
+        if len(winners) == game.k:
+            assert reached == span
+        assert 1 <= verify(game, winners, profile).stats["profile_states"] <= product
