@@ -66,11 +66,15 @@ def _string_list(obj: Any, path: str) -> list[str]:
 def _load_mask(obj: Any, path: str, k: int) -> ChannelMask:
     if obj is None:
         return ChannelMask.full(k)
-    if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
+    # Letters list their symbols in mask order, so a mask is read as written:
+    # a bool is no index, and a repeated or descending entry is rejected.
+    if not isinstance(obj, list) or not all(type(x) is int for x in obj):
         raise FormatError(f"{path}: expected a list of agent indices")
     if any(not 0 <= x < k for x in obj):
         raise FormatError(f"{path}: channel index out of range")
-    return ChannelMask.of(obj)
+    if any(a >= b for a, b in zip(obj, obj[1:])):
+        raise FormatError(f"{path}: expected distinct channels in ascending order")
+    return ChannelMask(tuple(obj))
 
 
 def _state_id(name: Any, path: str, index: dict[str, int]) -> int:

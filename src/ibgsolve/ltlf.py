@@ -1,8 +1,9 @@
 """Finite-trace temporal formulas: parsing, semantics, and compilation to AFA.
 
 Atoms test one agent channel against one of its symbols ("p0=a").  The
-grammar has unary ! X N F G, binary U R & |, parentheses, and the keywords
-true/false, with precedence unary > U/R > & > | and right-associative U/R.
+grammar is in two tables, `_UNARY` (! X N F G) and `_BINARY` (U R & | with
+their precedences), plus parentheses and the keywords true/false: unary binds
+tightest, then U/R (right-associative), then &, then |.
 
 Empty-word convention: the empty trace satisfies exactly the formulas whose
 normal form starts with a weak next or a release (G included) or is the
@@ -88,33 +89,37 @@ LtlfFormula = Union[
 ]
 
 
+# The operator set, defined once for the parser, `format_formula` and `nnf`.
+# Binary operators carry their precedence; a chain of & or | becomes one n-ary
+# node, and U and R associate to the right.
+_UNARY = {"!": Not, "X": Next, "N": WeakNext, "F": Eventually, "G": Always}
+_BINARY = {"|": (1, Or), "&": (2, And), "U": (3, Until), "R": (3, Release)}
+_TOKEN_OF = {cls: tok for tok, cls in _UNARY.items()} | {
+    cls: tok for tok, (_, cls) in _BINARY.items()
+}
+# Negation pushed through a node turns it into its dual.
+_DUAL = {
+    LTrue: LFalse, LFalse: LTrue, And: Or, Or: And, Next: WeakNext, WeakNext: Next,
+    Until: Release, Release: Until, Eventually: Always, Always: Eventually,
+}
+
+
 def format_formula(f: LtlfFormula) -> str:
-    match f:
-        case LTrue():
-            return "true"
-        case LFalse():
-            return "false"
-        case Atom(agent, symbol):
-            return f"p{agent}={symbol}"
-        case Not(g):
-            return f"!({format_formula(g)})"
-        case And(args):
-            return "(" + " & ".join(format_formula(a) for a in args) + ")"
-        case Or(args):
-            return "(" + " | ".join(format_formula(a) for a in args) + ")"
-        case Next(g):
-            return f"X({format_formula(g)})"
-        case WeakNext(g):
-            return f"N({format_formula(g)})"
-        case Until(l, r):
-            return f"({format_formula(l)} U {format_formula(r)})"
-        case Release(l, r):
-            return f"({format_formula(l)} R {format_formula(r)})"
-        case Eventually(g):
-            return f"F({format_formula(g)})"
-        case Always(g):
-            return f"G({format_formula(g)})"
-    raise TypeError(f"not a formula: {f!r}")
+    t = type(f)
+    if t is LTrue:
+        return "true"
+    if t is LFalse:
+        return "false"
+    if t is Atom:
+        return f"p{f.agent}={f.symbol}"
+    op = _TOKEN_OF.get(t)
+    if op is None:
+        raise TypeError(f"not a formula: {f!r}")
+    if t is And or t is Or:
+        return "(" + f" {op} ".join(map(format_formula, f.args)) + ")"
+    if t is Until or t is Release:
+        return f"({format_formula(f.left)} {op} {format_formula(f.right)})"
+    return f"{op}({format_formula(f.arg)})"
 
 
 # ---------------------------------------------------------------------------
@@ -128,173 +133,117 @@ class LtlfSyntaxError(ValueError):
 
 
 _TOKEN_RE = re.compile(r"[()&|!=]|[A-Za-z0-9_]+|\S")
-_KEYWORDS = {"true", "false", "X", "N", "F", "G", "U", "R"}
 _ATOM_RE = re.compile(r"p(\d+)$")
 
 
-class _Parser:
-    def __init__(self, text: str, alphabet: ProductAlphabet | None):
-        self.text = text
-        self.alphabet = alphabet
-        self.tokens = [(m.group(0), m.start()) for m in _TOKEN_RE.finditer(text)]
-        self.pos = 0
-
-    def _peek(self) -> tuple[str, int]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return ("", len(self.text))
-
-    def _next(self) -> tuple[str, int]:
-        tok = self._peek()
-        self.pos += 1
-        return tok
-
-    def _expect(self, token: str):
-        got, offset = self._next()
-        if got != token:
-            raise LtlfSyntaxError(f"expected {token!r}, found {got!r}" if got else f"expected {token!r}", offset)
-
-    def parse(self) -> LtlfFormula:
-        f = self.parse_or()
-        tok, offset = self._peek()
-        if tok:
-            raise LtlfSyntaxError(f"unexpected {tok!r}", offset)
-        return f
-
-    def parse_or(self) -> LtlfFormula:
-        args = [self.parse_and()]
-        while self._peek()[0] == "|":
-            self._next()
-            args.append(self.parse_and())
-        return args[0] if len(args) == 1 else Or(tuple(args))
-
-    def parse_and(self) -> LtlfFormula:
-        args = [self.parse_until()]
-        while self._peek()[0] == "&":
-            self._next()
-            args.append(self.parse_until())
-        return args[0] if len(args) == 1 else And(tuple(args))
-
-    def parse_until(self) -> LtlfFormula:
-        left = self.parse_unary()
-        tok, _ = self._peek()
-        if tok == "U":
-            self._next()
-            return Until(left, self.parse_until())
-        if tok == "R":
-            self._next()
-            return Release(left, self.parse_until())
-        return left
-
-    def parse_unary(self) -> LtlfFormula:
-        tok, offset = self._peek()
-        if tok == "!":
-            self._next()
-            return Not(self.parse_unary())
-        if tok == "X":
-            self._next()
-            return Next(self.parse_unary())
-        if tok == "N":
-            self._next()
-            return WeakNext(self.parse_unary())
-        if tok == "F":
-            self._next()
-            return Eventually(self.parse_unary())
-        if tok == "G":
-            self._next()
-            return Always(self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self) -> LtlfFormula:
-        tok, offset = self._next()
-        if tok == "(":
-            f = self.parse_or()
-            self._expect(")")
-            return f
-        if tok == "true":
-            return LTrue()
-        if tok == "false":
-            return LFalse()
-        m = _ATOM_RE.match(tok) if tok else None
-        if m:
-            self._expect("=")
-            sym, sym_offset = self._next()
-            if not sym or not re.fullmatch(r"[A-Za-z0-9_]+", sym):
-                raise LtlfSyntaxError("expected a symbol", sym_offset)
-            agent = int(m.group(1))
-            if self.alphabet is not None:
-                if agent >= self.alphabet.k:
-                    raise LtlfSyntaxError(f"unknown channel p{agent}", offset)
-                if sym not in self.alphabet.channels[agent]:
-                    raise LtlfSyntaxError(f"unknown symbol {sym!r} on channel {agent}", sym_offset)
-            return Atom(agent, sym)
-        if not tok:
-            raise LtlfSyntaxError("unexpected end of formula", offset)
-        raise LtlfSyntaxError(f"unexpected {tok!r}", offset)
-
-
 def parse(text: str, alphabet: ProductAlphabet | None = None) -> LtlfFormula:
-    """Parse a formula; with an alphabet, atoms are checked against it."""
-    return _Parser(text, alphabet).parse()
+    """Parse a formula; with an alphabet, atoms are checked against it.
+
+    Operator precedence over explicit stacks (shunting-yard), so nesting is
+    bounded by memory, not by the recursion limit.  `ops` holds prefix
+    operators, "(" and binary operators until their operands are complete.
+    """
+    tokens = [(m.group(0), m.start()) for m in _TOKEN_RE.finditer(text)]
+    tokens = iter(tokens + [("", len(text))])
+    ops: list[str] = []
+    operands: list[LtlfFormula] = []
+    depth = 0
+
+    def reduce(prec: int) -> None:
+        # Reduce the binary operators above the innermost "(" that bind
+        # tighter than prec; a run of one n-ary operator becomes one node.
+        while ops and ops[-1] in _BINARY and _BINARY[ops[-1]][0] > prec:
+            op = ops.pop()
+            cls = _BINARY[op][1]
+            if cls is Until or cls is Release:
+                right = operands.pop()
+                operands[-1] = cls(operands[-1], right)
+                continue
+            n = 2
+            while ops and ops[-1] == op:
+                ops.pop()
+                n += 1
+            operands[-n:] = [cls(tuple(operands[-n:]))]
+
+    want_operand = True
+    while True:
+        tok, offset = next(tokens)
+        if want_operand:
+            if tok in _UNARY or tok == "(":
+                ops.append(tok)
+                depth += tok == "("
+                continue
+            operands.append(_primary(tok, offset, tokens, alphabet))
+        elif tok in _BINARY:
+            reduce(_BINARY[tok][0])
+            ops.append(tok)
+            want_operand = True
+            continue
+        elif tok == ")" and depth:
+            reduce(0)
+            ops.pop()
+            depth -= 1
+        elif depth:
+            raise LtlfSyntaxError(f"expected ')', found {tok!r}" if tok else "expected ')'", offset)
+        elif tok:
+            raise LtlfSyntaxError(f"unexpected {tok!r}", offset)
+        else:
+            reduce(0)
+            return operands[0]
+        # An operand is complete: apply the prefix operators written before it.
+        while ops and ops[-1] in _UNARY:
+            operands[-1] = _UNARY[ops.pop()](operands[-1])
+        want_operand = False
+
+
+def _primary(tok: str, offset: int, tokens, alphabet: ProductAlphabet | None) -> LtlfFormula:
+    if tok == "true":
+        return LTrue()
+    if tok == "false":
+        return LFalse()
+    m = _ATOM_RE.match(tok)
+    if not m:
+        raise LtlfSyntaxError(f"unexpected {tok!r}" if tok else "unexpected end of formula", offset)
+    eq, eq_offset = next(tokens)
+    if eq != "=":
+        raise LtlfSyntaxError(f"expected '=', found {eq!r}" if eq else "expected '='", eq_offset)
+    sym, sym_offset = next(tokens)
+    if not re.fullmatch(r"[A-Za-z0-9_]+", sym):
+        raise LtlfSyntaxError("expected a symbol", sym_offset)
+    agent = int(m.group(1))
+    if alphabet is not None:
+        if agent >= alphabet.k:
+            raise LtlfSyntaxError(f"unknown channel p{agent}", offset)
+        if sym not in alphabet.channels[agent]:
+            raise LtlfSyntaxError(f"unknown symbol {sym!r} on channel {agent}", sym_offset)
+    return Atom(agent, sym)
 
 
 # ---------------------------------------------------------------------------
 # Negation normal form.  F and G are rewritten into U and R.
 
 
-def nnf(f: LtlfFormula) -> LtlfFormula:
-    # Dispatch on the exact node class, as `holds` does: cheaper than a
-    # structural match on every node.
+def nnf(f: LtlfFormula, negated: bool = False) -> LtlfFormula:
+    """The normal form of f, or of !f when negated: negation only on atoms."""
     t = type(f)
-    if t is LTrue or t is LFalse or t is Atom:
-        return f
     if t is Not:
-        return _nnf_neg(f.arg)
-    if t is And:
-        return And(tuple(nnf(a) for a in f.args))
-    if t is Or:
-        return Or(tuple(nnf(a) for a in f.args))
-    if t is Next:
-        return Next(nnf(f.arg))
-    if t is WeakNext:
-        return WeakNext(nnf(f.arg))
-    if t is Until:
-        return Until(nnf(f.left), nnf(f.right))
-    if t is Release:
-        return Release(nnf(f.left), nnf(f.right))
-    if t is Eventually:
-        return Until(LTrue(), nnf(f.arg))
-    if t is Always:
-        return Release(LFalse(), nnf(f.arg))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _nnf_neg(f: LtlfFormula) -> LtlfFormula:
-    t = type(f)
-    if t is LTrue:
-        return LFalse()
-    if t is LFalse:
-        return LTrue()
+        return nnf(f.arg, not negated)
     if t is Atom:
-        return Not(f)
-    if t is Not:
-        return nnf(f.arg)
-    if t is And:
-        return Or(tuple(_nnf_neg(a) for a in f.args))
-    if t is Or:
-        return And(tuple(_nnf_neg(a) for a in f.args))
-    if t is Next:
-        return WeakNext(_nnf_neg(f.arg))
-    if t is WeakNext:
-        return Next(_nnf_neg(f.arg))
-    if t is Until:
-        return Release(_nnf_neg(f.left), _nnf_neg(f.right))
-    if t is Release:
-        return Until(_nnf_neg(f.left), _nnf_neg(f.right))
+        return Not(f) if negated else f
+    if negated:
+        t = _DUAL.get(t)
+    if t is LTrue or t is LFalse:
+        return t()
+    if t is And or t is Or:
+        return t(tuple(nnf(a, negated) for a in f.args))
+    if t is Next or t is WeakNext:
+        return t(nnf(f.arg, negated))
+    if t is Until or t is Release:
+        return t(nnf(f.left, negated), nnf(f.right, negated))
     if t is Eventually:
-        return Release(LFalse(), _nnf_neg(f.arg))
+        return Until(LTrue(), nnf(f.arg, negated))
     if t is Always:
-        return Until(LTrue(), _nnf_neg(f.arg))
+        return Release(LFalse(), nnf(f.arg, negated))
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -3,8 +3,8 @@
 The pipeline: convert every goal to a DFA whose accepting states lead to
 one absorbing sink, solve one deviation safety game per losing agent, build
 the product Buchi automaton over the goal states, keeping only transitions
-on which no losing agent's goal accepts and every deviation game stays in
-its winning region, and test the result for nonemptiness.  A product state
+that stay in every losing agent's deviation-game winning region (so no
+loser's goal accepts), and test the result for nonemptiness.  A product state
 accepts once every winner's goal is in its sink.  A nonempty automaton
 yields a lasso, from which a witness profile is built: replay the lasso
 while everyone conforms, switch to the relevant deviation game's positional
@@ -139,11 +139,11 @@ class ProductBuchi:
 
     A state is the tuple of goal states.  Goals come from `goal_as_dfa`, so
     accepting goal states are absorbing, and a state accepts iff every
-    winner's goal is in its accepting set.  Transitions that would let a
-    losing agent's goal accept, or that leave some losing agent's
-    deviation-game winning region, are undefined.  States are numbered in
-    breadth-first discovery order, each source's letters lowest first, and
-    `trans` is filled in that order.  `parent[v]` is the (source, letter)
+    winner's goal is in its accepting set.  Transitions that leave some
+    losing agent's deviation-game winning region are undefined; that region
+    holds no accepting goal state, so no loser's goal accepts either.
+    States are numbered in breadth-first discovery order, each source's
+    letters lowest first, and `trans` is filled in that order.  `parent[v]` is the (source, letter)
     that discovered v (None for the initial state); `buchi_nonempty` takes
     its stem from it.
     """
@@ -170,11 +170,11 @@ def _build_product(
     game per losing agent (`{}` when every agent wins)."""
     k = len(goal_dfas)
     losers = [j for j in range(k) if j not in winners]
-    # A losing agent whose goal accepts the empty prefix, or who can escape
-    # its deviation game from the start, makes the instance empty.
+    # A losing agent who can escape its deviation game from the start makes
+    # the instance empty; that includes a goal accepting the empty prefix,
+    # whose initial vertex is unsafe.
     for j in losers:
-        d = goal_dfas[j]
-        if d.initial in d.accepting or not deviation_games[j].v0_in_win0(d.initial):
+        if not deviation_games[j].v0_in_win0(goal_dfas[j].initial):
             return ProductBuchi(goal_dfas, [], None, {}, frozenset(), [])
     start: ProductState = tuple(d.initial for d in goal_dfas)
     index: dict[ProductState, int] = {start: 0}
@@ -187,10 +187,12 @@ def _build_product(
     # letter in lexicographic order.  row_of(j, q) is goal j's successor
     # row: entry x is delta_j(q, letter x restricted to goal j's mask).
     # allowed_of(j, q), for a loser j, is an int whose bit x is set iff
-    # letter x keeps goal j out of its accepting set and stays in j's
-    # deviation-game winning region.  A product state ANDs its losers'
-    # masks and walks the set bits lowest first, so transitions are
-    # inserted in letter order, per source state in discovery order.
+    # letter x stays in j's deviation-game winning region.  That keeps goal
+    # j out of its accepting set too: the agent-1 vertex has the conforming
+    # target among its successors, and accepting goal states are unsafe.
+    # A product state ANDs its losers' masks and walks the set bits lowest
+    # first, so transitions are inserted in letter order, per source state
+    # in discovery order.
     letters = list(alphabet.letters())
     full = (1 << len(letters)) - 1
     goal_positions: list[list[int]] = []
@@ -206,12 +208,10 @@ def _build_product(
 
     @cache
     def allowed_of(j: int, q: int) -> int:
-        accepting = goal_dfas[j].accepting
-        row = row_of(j, q)
         dev = deviation_games[j]
         mask = 0
         for x, letter in enumerate(letters):
-            if row[x] not in accepting and dev.v1_in_win0(q, letter):
+            if dev.v1_in_win0(q, letter):
                 mask |= 1 << x
         return mask
 
@@ -297,13 +297,13 @@ def buchi_nonempty(ab: ProductBuchi) -> UltimatelyPeriodicWord | None:
     """Return an accepted lasso, or None when the language is empty.
 
     Accepting goal states are absorbing, so every state reachable from an
-    accepting state is accepting; nonemptiness reduces to finding a
-    reachable accepting state that lies on a cycle.  The lowest-numbered
-    one is the first a BFS finds; its `parent` path is the stem, and the
-    shortest cycle through it is found by BFS.  Both break ties by lowest
-    letter index.
+    accepting state is accepting; with none the language is empty at once.
+    Otherwise nonemptiness reduces to finding a reachable accepting state
+    that lies on a cycle.  The lowest-numbered one is the first a BFS
+    finds; its `parent` path is the stem, and the shortest cycle through it
+    is found by BFS.  Both break ties by lowest letter index.
     """
-    if ab.initial is None:
+    if not ab.accepting:
         return None
     n = ab.n_states
     # Out-edges per state in trans insertion order, which _build_product

@@ -131,6 +131,28 @@ def test_convert_deep_ltlf_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_ltlf_goal_nested_300_deep_is_solved(capsys, tmp_path):
+    # The parser keeps its own stack, so depth is no longer bounded by it.
+    formula = "X(" * 300 + "p0=a" + ")" * 300
+    game = tmp_path / "deep.json"
+    game.write_text(json.dumps({
+        "version": "ibg-game-1",
+        "agents": [{"name": "p0", "alphabet": ["a", "b"],
+                    "goal": {"kind": "ltlf", "formula": formula}}],
+    }))
+    code, out, _ = run_cli(capsys, "realizable", str(game), "--winners", "0")
+    assert code == 0
+    assert out.startswith("REALIZABLE\n")
+    src = tmp_path / "alphabet.json"
+    src.write_text(json.dumps({"version": "ibg-automaton-1", "channels": [["a", "b"]]}))
+    code, out, _ = run_cli(
+        capsys, "convert", "--ltlf2afa", formula, str(src), str(tmp_path / "out.json")
+    )
+    assert code == 0
+    assert out.startswith("CONVERTED\n")
+    assert record_of(out)["states"] == 301
+
+
 def test_realizable_stats_include_goal_sizes(capsys, games_dir):
     code, out, _ = run_cli(
         capsys, "realizable", str(games_dir / "ev.json"), "--winners", "0", "--stats"

@@ -235,6 +235,27 @@ def test_transition_errors_exact_messages(ev_game):
     assert checked == 4 * 12 + 3 * 2
 
 
+def test_channel_masks_read_as_written(ev_game):
+    # A letter lists its symbols in mask order, so a mask must hold distinct
+    # channels in ascending order; anything else is rejected, not reordered.
+    cases = [
+        ([True], "expected a list of agent indices"),
+        ([0, 0], "expected distinct channels in ascending order"),
+        ([1, 0], "expected distinct channels in ascending order"),
+    ]
+    for mask, message in cases:
+        game = json.loads(dump_json(save_game(ev_game)))
+        game["agents"][0]["goal"]["channels"] = mask
+        with pytest.raises(FormatError) as excinfo:
+            load_game(game)
+        assert str(excinfo.value) == f"agents[0].goal.channels: {message}"
+        profile = json.loads(dump_json(save_profile(two_state_profile(ev_game))))
+        profile["machines"][1]["channels"] = mask
+        with pytest.raises(FormatError) as excinfo:
+            load_profile(profile, ev_game.alphabet)
+        assert str(excinfo.value) == f"machines[1].channels: {message}"
+
+
 def test_saved_goals_evaluate_identically():
     rng = random.Random(331)
     for _ in range(20):

@@ -290,6 +290,31 @@ def test_product_matches_letter_at_a_time_reference():
             assert buchi_nonempty(ab) == expected
 
 
+def test_deviation_region_holds_no_accepting_goal_state():
+    # _build_product prunes a loser's letters by its deviation region alone;
+    # this is why that also keeps the loser's goal from accepting.
+    rng = random.Random(113)
+    games = [corpus.ev_game(), corpus.mp_game()]
+    games += [corpus.random_game(rng) for _ in range(50)]
+    games += [corpus.random_game(rng, max_k=4, kinds="dfa") for _ in range(10)]
+    accepting_initial = winning_v1 = 0
+    for game in games:
+        for j, goal in enumerate(game.goals):
+            d = goal_as_dfa(goal)
+            dev = build_deviation_game(game, j, d)
+            if d.initial in d.accepting:
+                accepting_initial += 1
+                assert not dev.v0_in_win0(d.initial)
+            for q in range(d.n_states):
+                if q in d.accepting:
+                    continue
+                for letter in game.alphabet.letters():
+                    if dev.v1_in_win0(q, letter):
+                        winning_v1 += 1
+                        assert d.delta[q, project(letter, d.mask)] not in d.accepting
+    assert accepting_initial and winning_v1
+
+
 # ---------------------------------------------------------------------------
 # nonemptiness
 
