@@ -103,26 +103,97 @@ def formula_eval(f: BoolFormula, true_states: frozenset[int] | set[int]) -> bool
     return t is FTrue
 
 
+def _bits(mask: int) -> list[int]:
+    """The members of a set stored as a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _model_order(mask: int) -> tuple[int, list[int]]:
+    """Sort key of a model: by size, then its ascending members compared
+    lexicographically, which is the order `itertools.combinations` yields
+    the subsets of a sorted atom list in."""
+    return mask.bit_count(), _bits(mask)
+
+
+def _minimize(masks: Iterable[int]) -> list[int]:
+    """The minimal sets of a family of bitmask sets, duplicates dropped,
+    ordered by size.  Distinct sets of one size never contain each other, so
+    each set is checked only against the kept sets of smaller sizes."""
+    kept: list[int] = []
+    for _, group in itertools.groupby(sorted(set(masks), key=int.bit_count), int.bit_count):
+        if kept:
+            smaller = tuple(kept)
+            kept += [m for m in group if all(k & m != k for k in smaller)]
+        else:
+            kept += group
+    return kept
+
+
+def _conjoin(antichains: Iterable[list[int]]) -> list[int]:
+    """Antichain of a conjunction: the minimised pairwise unions, folded
+    left from {∅}, which is the product's identity and so is skipped; stops
+    at the first empty result without reading further antichains."""
+    acc = [0]
+    for models in antichains:
+        if models == [0]:
+            continue
+        acc = models if acc == [0] else _minimize(a | b for a in acc for b in models)
+        if not acc:
+            break
+    return acc
+
+
+def _antichain(f: BoolFormula) -> list[int]:
+    """Minimal models of one formula as bitmasks (De Wulf, Doyen, Henzinger
+    and Raskin's antichains, CAV 2006).
+
+    Bottom-up over the formula's tree with an explicit post-order stack, so
+    depth costs no recursion and no formula object is hashed: an atom a
+    gives {{a}}, true {∅}, false ∅, an OR the minimised union of its
+    arguments' antichains and an AND their minimised product (`_conjoin`).
+    """
+    done: list[list[int]] = []
+    stack: list[tuple[BoolFormula, bool]] = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        t = type(g)
+        if t is FAtom:
+            done.append([1 << g.state])
+        elif t is FAnd or t is FOr:
+            if not expanded:
+                stack.append((g, True))
+                stack.extend((a, False) for a in g.args)
+                continue
+            split = len(done) - len(g.args)
+            args = done[split:]
+            del done[split:]
+            if t is FAnd:
+                done.append(_conjoin(args))
+            else:
+                done.append(_minimize(m for models in args for m in models))
+        else:
+            done.append([0] if t is FTrue else [])
+    return done[0]
+
+
 def minimal_models(formulas: Sequence[BoolFormula]) -> list[frozenset[int]]:
     """Antichain of minimal assignments satisfying every formula.
 
-    Enumerates subsets of the occurring atoms by increasing size and keeps a
-    model only if no already-found model is contained in it.  Sound for the
-    positive formulas used here: supersets of a model are always models.
+    Computed bottom-up over each formula (`_antichain`) and conjoined, never
+    by enumerating subsets of the atoms, so it costs time per model and not
+    per subset.  Sound and complete for the positive formulas used here:
+    supersets of a model are always models.  The models come sorted by size
+    and then by their ascending members, the order in which an enumeration
+    of subsets by increasing size would find them; `afa_to_nfa` interns
+    successor sets in this order, so its state ids and names depend on it.
     """
-    atoms: set[int] = set()
-    for f in formulas:
-        atoms |= formula_atoms(f)
-    ordered = sorted(atoms)
-    models: list[frozenset[int]] = []
-    for size in range(len(ordered) + 1):
-        for combo in itertools.combinations(ordered, size):
-            s = frozenset(combo)
-            if any(m <= s for m in models):
-                continue
-            if all(formula_eval(f, s) for f in formulas):
-                models.append(s)
-    return models
+    models = _conjoin(_antichain(f) for f in formulas)
+    return [frozenset(_bits(m)) for m in sorted(models, key=_model_order)]
 
 
 # ---------------------------------------------------------------------------
@@ -302,69 +373,91 @@ def accepts_prefix(goal: GoalAutomaton, word: UltimatelyPeriodicWord) -> bool:
 # Conversions.
 
 
-def _subset_name(names: tuple[str, ...], subset: frozenset[int]) -> str:
-    return "{" + ",".join(names[q] for q in sorted(subset)) + "}"
+def _subset_name(names: tuple[str, ...], members: list[int]) -> str:
+    return "{" + ",".join(names[q] for q in members) + "}"
 
 
 def determinize(nfa: Nfa) -> Dfa:
     """Subset construction over reachable subsets only.
 
-    Subsets are canonicalized as sorted state-id sets and interned in BFS
-    discovery order; the empty subset appears as an explicit rejecting sink
-    so the result is total.
+    Subsets are int bitmasks over the NFA's state ids.  Each restricted
+    letter has one row holding every state's successor mask, so a subset's
+    successor on a letter is the OR of the rows of its members.  Subsets are
+    interned in BFS discovery order, letters in `restricted_letters` order,
+    and named by their members in ascending id order; the empty subset
+    appears as an explicit rejecting sink so the result is total.
     """
     rls = list(nfa.alphabet.restricted_letters(nfa.mask))
-    index: dict[frozenset[int], int] = {}
-    subsets: list[frozenset[int]] = []
-
-    def intern(s: frozenset[int]) -> int:
-        if s not in index:
-            index[s] = len(subsets)
-            subsets.append(s)
-        return index[s]
-
+    rows = {rl: [0] * nfa.n_states for rl in rls}
+    for q, rl, p in nfa.triples:
+        row = rows.get(rl)
+        if row is not None:
+            row[q] |= 1 << p
+    index = {1 << nfa.initial: 0}
+    subsets = [1 << nfa.initial]
+    names: list[str] = []
     delta: dict[tuple[int, Letter], int] = {}
-    intern(frozenset((nfa.initial,)))
     i = 0
     while i < len(subsets):
-        current = subsets[i]
-        for rl in rls:
-            delta[i, rl] = intern(nfa.step_set(current, rl))
+        members = _bits(subsets[i])
+        names.append(_subset_name(nfa.names, members))
+        for rl, row in rows.items():
+            target = 0
+            for q in members:
+                target |= row[q]
+            j = index.get(target)
+            if j is None:
+                j = index[target] = len(subsets)
+                subsets.append(target)
+            delta[i, rl] = j
         i += 1
-    names = tuple(_subset_name(nfa.names, s) for s in subsets)
-    accepting = frozenset(i for i, s in enumerate(subsets) if s & nfa.accepting)
-    return Dfa(nfa.alphabet, nfa.mask, names, 0, accepting, delta)
+    accepting_mask = sum(1 << q for q in nfa.accepting)
+    accepting = frozenset(i for i, s in enumerate(subsets) if s & accepting_mask)
+    return Dfa(nfa.alphabet, nfa.mask, tuple(names), 0, accepting, delta)
 
 
 def afa_to_nfa(afa: Afa) -> Nfa:
     """Obligation-set construction, restricted to minimal successor models.
 
-    NFA states are the reachable obligation sets; a set is accepting when
-    every obligation is already an accepting AFA state, in particular the
-    empty set (all obligations discharged by constants) is accepting.
+    NFA states are the reachable obligation sets, stored as bitmasks; a set
+    is accepting when every obligation is already an accepting AFA state,
+    in particular the empty set (all obligations discharged by constants) is
+    accepting.  The antichain of each transition formula is computed once
+    per (state, letter), and a set's successors on a letter are the
+    minimised product of its members' antichains, taken in ascending state
+    order.  Successors are interned in BFS order, per letter in
+    `minimal_models` order, so state ids and names are those of conjoining
+    the members' formulas with `minimal_models`.
     """
     rls = list(afa.alphabet.restricted_letters(afa.mask))
-    index: dict[frozenset[int], int] = {}
-    sets: list[frozenset[int]] = []
+    antichains: dict[tuple[int, Letter], list[int]] = {}
 
-    def intern(s: frozenset[int]) -> int:
-        if s not in index:
-            index[s] = len(sets)
-            sets.append(s)
-        return index[s]
+    def antichain(q: int, rl: Letter) -> list[int]:
+        models = antichains.get((q, rl))
+        if models is None:
+            models = antichains[q, rl] = _antichain(afa.delta[q, rl])
+        return models
 
+    index = {1 << afa.initial: 0}
+    sets = [1 << afa.initial]
+    names: list[str] = []
     triples: set[tuple[int, Letter, int]] = set()
-    intern(frozenset((afa.initial,)))
     i = 0
     while i < len(sets):
-        obligations = sets[i]
+        obligations = _bits(sets[i])
+        names.append(_subset_name(afa.names, obligations))
         for rl in rls:
-            for model in minimal_models([afa.delta[q, rl] for q in sorted(obligations)]):
-                triples.add((i, rl, intern(model)))
+            models = _conjoin(antichain(q, rl) for q in obligations)
+            for model in sorted(models, key=_model_order):
+                j = index.get(model)
+                if j is None:
+                    j = index[model] = len(sets)
+                    sets.append(model)
+                triples.add((i, rl, j))
         i += 1
-    names = tuple(_subset_name(afa.names, s) for s in sets)
-    accepting = frozenset(i for i, s in enumerate(sets) if s <= afa.accepting)
-    return Nfa(afa.alphabet, afa.mask, names, 0, accepting, frozenset(triples))
+    accepting_mask = sum(1 << q for q in afa.accepting)
+    accepting = frozenset(i for i, s in enumerate(sets) if not s & ~accepting_mask)
+    return Nfa(afa.alphabet, afa.mask, tuple(names), 0, accepting, frozenset(triples))
 
 
 def as_nfa(goal: GoalAutomaton) -> Nfa:

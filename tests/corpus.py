@@ -6,6 +6,7 @@ the acceptance tests pin their seeds.
 
 from __future__ import annotations
 
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -29,6 +30,7 @@ from ibgsolve import (
     project,
     realizable,
 )
+from ibgsolve.automata import formula_atoms, formula_eval
 from ibgsolve.realizability import _build_product
 
 SYMBOL_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -367,3 +369,83 @@ def reference_witness(game: Ibg, winners) -> StrategyProfile | None:
     goal_dfas = tuple(goal_as_dfa(g) for g in game.goals)
     refined = _build_product(goal_dfas, verdict.winners, game.alphabet, verdict.deviation_games)
     return full_mask_witness(game, verdict.winners, verdict.lasso, refined, verdict.deviation_games)
+
+
+# ---------------------------------------------------------------------------
+# Reference conversions: the enumeration antichain and the frozenset subset
+# and obligation-set constructions the bitmask kernels must reproduce.
+
+
+def reference_minimal_models(formulas) -> list[frozenset[int]]:
+    """Enumerates subsets of the occurring atoms by increasing size and keeps
+    a model only if no already-found model is contained in it."""
+    atoms: set[int] = set()
+    for f in formulas:
+        atoms |= formula_atoms(f)
+    ordered = sorted(atoms)
+    models: list[frozenset[int]] = []
+    for size in range(len(ordered) + 1):
+        for combo in itertools.combinations(ordered, size):
+            s = frozenset(combo)
+            if any(m <= s for m in models):
+                continue
+            if all(formula_eval(f, s) for f in formulas):
+                models.append(s)
+    return models
+
+
+def _reference_subset_name(names, subset) -> str:
+    return "{" + ",".join(names[q] for q in sorted(subset)) + "}"
+
+
+def reference_determinize(nfa: Nfa) -> Dfa:
+    """Subsets as frozensets, stepped with `Nfa.step_set` and interned in
+    BFS discovery order."""
+    rls = list(nfa.alphabet.restricted_letters(nfa.mask))
+    index: dict[frozenset[int], int] = {}
+    subsets: list[frozenset[int]] = []
+
+    def intern(s: frozenset[int]) -> int:
+        if s not in index:
+            index[s] = len(subsets)
+            subsets.append(s)
+        return index[s]
+
+    delta = {}
+    intern(frozenset((nfa.initial,)))
+    i = 0
+    while i < len(subsets):
+        current = subsets[i]
+        for rl in rls:
+            delta[i, rl] = intern(nfa.step_set(current, rl))
+        i += 1
+    names = tuple(_reference_subset_name(nfa.names, s) for s in subsets)
+    accepting = frozenset(i for i, s in enumerate(subsets) if s & nfa.accepting)
+    return Dfa(nfa.alphabet, nfa.mask, names, 0, accepting, delta)
+
+
+def reference_afa_to_nfa(afa: Afa) -> Nfa:
+    """Obligation sets as frozensets, each set's successors the
+    `reference_minimal_models` of its members' formulas."""
+    rls = list(afa.alphabet.restricted_letters(afa.mask))
+    index: dict[frozenset[int], int] = {}
+    sets: list[frozenset[int]] = []
+
+    def intern(s: frozenset[int]) -> int:
+        if s not in index:
+            index[s] = len(sets)
+            sets.append(s)
+        return index[s]
+
+    triples = set()
+    intern(frozenset((afa.initial,)))
+    i = 0
+    while i < len(sets):
+        obligations = sets[i]
+        for rl in rls:
+            for model in reference_minimal_models([afa.delta[q, rl] for q in sorted(obligations)]):
+                triples.add((i, rl, intern(model)))
+        i += 1
+    names = tuple(_reference_subset_name(afa.names, s) for s in sets)
+    accepting = frozenset(i for i, s in enumerate(sets) if s <= afa.accepting)
+    return Nfa(afa.alphabet, afa.mask, names, 0, accepting, frozenset(triples))

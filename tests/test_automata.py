@@ -180,6 +180,20 @@ def test_minimal_models_constants():
     assert minimal_models([]) == [frozenset()]
 
 
+def test_minimal_models_match_enumeration():
+    # 1-4 formulas of FTrue/FFalse/atoms under FAnd/FOr up to depth 4, with
+    # atoms repeated among up to 10 states; equal as lists, order included.
+    rng = random.Random(79)
+    shapes = {"none": 0, "one": 0, "several": 0}
+    for _ in range(5000):
+        n_atoms = rng.randint(1, 10)
+        formulas = [corpus.random_formula(rng, n_atoms, depth=4) for _ in range(rng.randint(1, 4))]
+        expected = corpus.reference_minimal_models(formulas)
+        assert minimal_models(formulas) == expected
+        shapes["none" if not expected else "one" if len(expected) == 1 else "several"] += 1
+    assert min(shapes.values()) > 500
+
+
 def test_afa_to_nfa_syntactic_nfa(alphabet):
     rng = random.Random(47)
     for _ in range(20):
@@ -331,3 +345,39 @@ def test_accepts_prefix_matches_oracle():
 def test_normal_forms_reject_non_goals(alphabet, convert):
     with pytest.raises(TypeError, match="not a goal automaton"):
         convert(alphabet)
+
+
+# ---------------------------------------------------------------------------
+# The bitmask conversions against the frozenset references in corpus.
+
+
+def conversion_inputs():
+    """Random AFAs and NFAs, then LTLf-compiled AFAs."""
+    rng = random.Random(89)
+    for _ in range(300):
+        alpha = corpus.random_alphabet(rng)
+        yield corpus.random_afa(rng, alpha, max_states=5)
+        yield corpus.random_nfa(rng, alpha, max_states=6)
+    alpha = corpus.two_channel_alphabet()
+    for text in LTLF_GOALS + ["F(p0=a & X(p1=d)) & F(p0=b & X(p1=c))", "G(p0=a | X p1=c) U F(p1=d)"]:
+        yield compile_to_afa(parse(text, alpha), alpha)
+
+
+def test_conversions_match_references():
+    def nfa_parts(nfa):
+        return nfa.names, nfa.initial, nfa.accepting, nfa.triples
+
+    def dfa_parts(dfa):
+        return dfa.names, dfa.initial, dfa.accepting, dfa.delta
+
+    afas = nfas = 0
+    for automaton in conversion_inputs():
+        if isinstance(automaton, Afa):
+            afas += 1
+            nfa = afa_to_nfa(automaton)
+            assert nfa_parts(nfa) == nfa_parts(corpus.reference_afa_to_nfa(automaton))
+        else:
+            nfas += 1
+            nfa = automaton
+        assert dfa_parts(determinize(nfa)) == dfa_parts(corpus.reference_determinize(nfa))
+    assert afas >= 300 and nfas == 300

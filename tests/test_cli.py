@@ -131,15 +131,20 @@ def test_convert_deep_ltlf_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
-def test_ltlf_goal_nested_300_deep_is_solved(capsys, tmp_path):
-    # The parser keeps its own stack, so depth is no longer bounded by it.
-    formula = "X(" * 300 + "p0=a" + ")" * 300
-    game = tmp_path / "deep.json"
+def one_agent_ltlf_game(tmp_path, formula):
+    game = tmp_path / "game.json"
     game.write_text(json.dumps({
         "version": "ibg-game-1",
         "agents": [{"name": "p0", "alphabet": ["a", "b"],
                     "goal": {"kind": "ltlf", "formula": formula}}],
     }))
+    return game
+
+
+def test_ltlf_goal_nested_300_deep_is_solved(capsys, tmp_path):
+    # The parser keeps its own stack, so depth is no longer bounded by it.
+    formula = "X(" * 300 + "p0=a" + ")" * 300
+    game = one_agent_ltlf_game(tmp_path, formula)
     code, out, _ = run_cli(capsys, "realizable", str(game), "--winners", "0")
     assert code == 0
     assert out.startswith("REALIZABLE\n")
@@ -151,6 +156,59 @@ def test_ltlf_goal_nested_300_deep_is_solved(capsys, tmp_path):
     assert code == 0
     assert out.startswith("CONVERTED\n")
     assert record_of(out)["states"] == 301
+
+
+def test_propositional_chains_300_deep_are_solved(capsys, tmp_path):
+    # minimal_models keeps its own stack, so a deep AND/OR transition
+    # formula is no recursion hazard.
+    for op, expected_code, verdict in (("&", 1, "UNREALIZABLE"), ("|", 0, "REALIZABLE")):
+        formula = f"X(p0=b) {op} (" * 300 + "X(p0=a)" + ")" * 300
+        game = one_agent_ltlf_game(tmp_path, formula)
+        code, out, err = run_cli(capsys, "realizable", str(game), "--winners", "0")
+        assert (code, err) == (expected_code, "")
+        assert out.startswith(verdict + "\n")
+
+
+def test_nested_eventually_goal_is_solved(capsys, tmp_path):
+    # Conversion costs time per obligation set and model, not per subset of
+    # the atoms, so 40 levels solve; the goal DFA's size does not grow.
+    sizes = []
+    for depth in (8, 40):
+        game = one_agent_ltlf_game(tmp_path, "F(" * depth + "p0=a" + ")" * depth)
+        code, out, _ = run_cli(capsys, "realizable", str(game), "--winners", "0", "--stats")
+        assert code == 0
+        assert out.startswith("REALIZABLE\n")
+        sizes.append(record_of(out)["stats"]["goal_dfa_states"])
+    assert sizes[0] == sizes[1]
+
+
+def test_convert_wide_afa(capsys, tmp_path):
+    # From `init` each letter demands an AND of 10 binary ORs over 20
+    # accepting atom states.  Letter a pairs 2k with 2k+1; letter b pairs
+    # the atoms along two 10-cycles, so the two letters share 2^2 of their
+    # 2^10 minimal models: 1 + (2 * 2^10 - 4) + the empty set = 2046 states.
+    atoms = [f"a{i}" for i in range(20)]
+    pairings = {
+        "a": [(2 * k, 2 * k + 1) for k in range(10)],
+        "b": [(base + 2 * k + 1, base + (2 * k + 2) % 10) for base in (0, 10) for k in range(5)],
+    }
+    transitions = []
+    for sym, pairs in pairings.items():
+        transitions.append({"from": "init", "letter": [sym], "formula": {"op": "and", "args": [
+            {"op": "or", "args": [{"op": "atom", "state": atoms[x]}, {"op": "atom", "state": atoms[y]}]}
+            for x, y in pairs
+        ]}})
+        transitions += [{"from": a, "letter": [sym], "formula": {"op": "true"}} for a in atoms]
+    src = tmp_path / "wide.json"
+    src.write_text(json.dumps({
+        "version": "ibg-automaton-1", "channels": [["a", "b"]],
+        "automaton": {"kind": "afa", "states": ["init"] + atoms, "initial": "init",
+                      "accepting": atoms, "transitions": transitions},
+    }))
+    code, out, _ = run_cli(capsys, "convert", "--afa2nfa", str(src), str(tmp_path / "out.json"))
+    assert code == 0
+    assert out.startswith("CONVERTED\n")
+    assert record_of(out)["states"] == 2046
 
 
 def test_realizable_stats_include_goal_sizes(capsys, games_dir):
